@@ -16,12 +16,15 @@ fixed seeds):
   ``StreamingTomography.update`` per window, equation structure and
   prepared state warm;
 * **recompute** — ``PathObservations`` over the concatenated history +
-  ``infer_congestion`` per window, against the same warm prepared
-  registry (so the comparison isolates the streaming machinery, not
-  prep caching, which PR 8 already measures).
+  ``build_equations`` over it (equation selection and every candidate
+  value re-derived) + the same solve per window, against the same warm
+  prepared registry (so the comparison isolates the streaming
+  machinery, not prep caching).  ``infer_congestion`` would not do:
+  it solves on the prepared topology's cached template.
 
 Bit-identity is always enforced: after the last window, the streaming
-engine's full-history answer must equal the batch answer byte for byte.
+engine's full-history answer must equal the last recompute (a full
+rebuild over the same snapshots) byte for byte.
 
 The headline gate::
 
@@ -104,8 +107,9 @@ def _simulate_windows(instance, profile):
 
 
 def run_benchmark(profile):
-    from repro.core.correlation_algorithm import infer_congestion
     from repro.core.prepared import PreparedRegistry
+    from repro.core.equations import build_equations
+    from repro.core.solvers import solve
     from repro.core.streaming import StreamingTomography
     from repro.serve.registry import instance_from_payload
     from repro.simulate.observations import PathObservations
@@ -148,34 +152,23 @@ def run_benchmark(profile):
         full = PathObservations(
             np.concatenate(windows[: index + 1], axis=0)
         )
-        infer_congestion(
-            instance.topology,
-            instance.correlation,
-            full,
-            registry=registry,
+        system = build_equations(
+            instance.topology, instance.correlation, full, registry=registry
         )
+        solution, _ = solve(*system.sparse_matrix())
         recompute_s.append(time.perf_counter() - start)
 
     # Bit-identity: the streaming engine's full-history answer must be
-    # byte-equal to the cold batch answer over the same snapshots.
+    # byte-equal to the last recompute, a full rebuild over the same
+    # snapshots.
     streamed = engine.template().infer(observations)
-    batch = infer_congestion(
-        instance.topology,
-        instance.correlation,
-        PathObservations(np.concatenate(windows, axis=0)),
-        registry=registry,
-    )
-    identical = (
-        streamed.congestion_probabilities.tobytes()
-        == batch.congestion_probabilities.tobytes()
-        and streamed.log_good.tobytes() == batch.log_good.tobytes()
-    )
-    if not identical:
+    rebuilt = np.minimum(solution, 0.0)
+    if streamed.log_good.tobytes() != rebuilt.tobytes():
         raise SystemExit(
             "FAIL: streaming full-history answer differs from the "
-            "batch answer — the incremental state has diverged"
+            "full rebuild — the incremental state has diverged"
         )
-    print("bit-identity: streaming final == batch final (byte-equal)")
+    print("bit-identity: streaming final == full rebuild (byte-equal)")
 
     return {
         "incremental_mean_s": statistics.mean(incremental_s),

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.correlation import CorrelationStructure
-from repro.core.equations import build_equations
+from repro.core.equations import build_equations  # noqa: F401  (re-exported)
 from repro.core.interfaces import PathGoodProvider
 from repro.core.prepared import PreparedRegistry, PreparedTopology, get_prepared
 from repro.core.results import InferenceResult
-from repro.core.solvers import solve
+from repro.core.solvers import solve  # noqa: F401  (re-exported)
 from repro.core.topology import Topology
 
 __all__ = ["AlgorithmOptions", "CorrelationTomography", "infer_congestion"]
@@ -59,6 +57,11 @@ def infer_congestion(
 ) -> InferenceResult:
     """Run the Section-4 algorithm end to end.
 
+    The equation structure and its lifted L1 program are the prepared
+    topology's cached :class:`~repro.core.streaming.EquationTemplate`
+    (built on the first call for these options), so each call pays only
+    the ``y`` gather and the solve.
+
     Args:
         topology: The measurement topology.
         correlation: Known correlation sets.  Passing
@@ -75,38 +78,11 @@ def infer_congestion(
             uses the ambient/default registry.
     """
     options = options or AlgorithmOptions()
-    system = build_equations(
-        topology,
-        correlation,
-        measurements,
-        selection=options.selection,
-        max_pair_candidates=options.max_pair_candidates,
-        pair_order_seed=options.pair_order_seed,
-        prepared=prepared,
-        registry=registry,
+    prepared = get_prepared(
+        topology, correlation, registry=registry, prepared=prepared
     )
-    matrix, values = system.sparse_matrix()
-    solution, solver_used = solve(matrix, values, method=options.solver)
-    # Guard the exp() below: solution entries are log-probabilities and the
-    # solver already enforces <= 0, but numerical round-off can leave tiny
-    # positive values.
-    solution = np.minimum(solution, 0.0)
-    probabilities = 1.0 - np.exp(solution)
-    probabilities = np.clip(probabilities, 0.0, 1.0)
-    return InferenceResult(
-        algorithm=algorithm_label,
-        congestion_probabilities=probabilities,
-        log_good=solution,
-        uncovered_links=system.uncovered_links,
-        n_single_equations=system.n_single,
-        n_pair_equations=system.n_pair,
-        rank=system.rank,
-        solver=solver_used,
-        diagnostics={
-            "n_eligible_paths": len(system.eligible_paths),
-            "n_links": topology.n_links,
-            "fully_determined": system.is_fully_determined,
-        },
+    return prepared.template(options).infer(
+        measurements, algorithm_label=algorithm_label
     )
 
 
@@ -128,7 +104,6 @@ class CorrelationTomography:
         self._correlation = correlation
         self._options = options or AlgorithmOptions()
         self._prepared: PreparedTopology | None = None
-        self._template = None
 
     @property
     def topology(self) -> Topology:
@@ -154,22 +129,6 @@ class CorrelationTomography:
             prepared=self.prepare(),
         )
 
-    def update(self, measurements: PathGoodProvider) -> InferenceResult:
-        """Window-incremental inference over a cached equation structure.
-
-        The first call extracts the accepted row structure (which, under
-        both selection modes, depends only on the prepared topology —
-        never on measured values) and caches the assembled sparse matrix;
-        every call then pays only the right-hand-side gather plus the
-        solve.  Bit-identical to :meth:`infer` on the same observations.
-        """
-        from repro.core.streaming import EquationTemplate
-
-        if self._template is None:
-            self._template = EquationTemplate.build(
-                self._topology,
-                self._correlation,
-                options=self._options,
-                prepared=self.prepare(),
-            )
-        return self._template.infer(measurements)
+    #: Window-incremental alias of :meth:`infer`: every call already
+    #: solves on the prepared topology's cached equation template.
+    update = infer

@@ -52,7 +52,6 @@ from repro.core.prepared import (  # noqa: F401  (re-exported for compat)
     PreparedTopology,
     _RankTracker,
     _row_vector,
-    _shared_link_pair_candidates,
     get_prepared,
 )
 from repro.core.topology import Topology
@@ -141,11 +140,14 @@ class EquationSystem:
 
 
 def _single_values(
-    measurements: PathGoodProvider,
+    measurements: PathGoodProvider | None,
     path_ids: list[int],
     n_paths: int,
 ) -> np.ndarray:
-    """``y_i`` for the eligible paths, batch when the provider allows."""
+    """``y_i`` for the eligible paths, batch when the provider allows
+    (zeros without a provider)."""
+    if measurements is None:
+        return np.zeros(len(path_ids), dtype=np.float64)
     all_values = batch_log_good_all(measurements, n_paths)
     if all_values is not None:
         return all_values[np.asarray(path_ids, dtype=np.int64)]
@@ -156,12 +158,14 @@ def _single_values(
 
 
 def _pair_values(
-    measurements: PathGoodProvider,
+    measurements: PathGoodProvider | None,
     pairs: np.ndarray,
 ) -> np.ndarray | None:
     """``y_ij`` for candidate pairs in one batch call, or ``None`` when
     the provider only speaks the scalar protocol (values are then fetched
-    lazily, only for accepted rows)."""
+    lazily, only for accepted rows); zeros without a provider."""
+    if measurements is None:
+        return np.zeros(pairs.shape[0], dtype=np.float64)
     if pairs.size and hasattr(measurements, "log_good_pairs"):
         return np.asarray(
             measurements.log_good_pairs(pairs), dtype=np.float64
@@ -172,7 +176,7 @@ def _pair_values(
 def build_equations(
     topology: Topology,
     correlation: CorrelationStructure,
-    measurements: PathGoodProvider,
+    measurements: PathGoodProvider | None,
     *,
     selection: str = "independent",
     max_pair_candidates: int = 200_000,
@@ -186,7 +190,9 @@ def build_equations(
         topology: The measurement topology.
         correlation: Known correlation structure (pass the trivial
             structure to obtain the independence baseline's system).
-        measurements: Provider of the measured ``y`` values.
+        measurements: Provider of the measured ``y`` values; ``None``
+            builds the structure alone, every value 0.0 (row acceptance
+            never reads the values).
         selection: ``"independent"`` (paper) or ``"all"`` (keep every
             eligible row).
         max_pair_candidates: Bound on examined shared-link pairs; beyond it

@@ -29,6 +29,8 @@ mischaracterisations the paper's Figures 3–5 quantify.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.correlation_algorithm import AlgorithmOptions
 from repro.core.interfaces import PathGoodProvider
 from repro.core.nguyen_thiran import infer_congestion_single_path
@@ -54,14 +56,4 @@ def infer_congestion_independent(
     result = infer_congestion_single_path(
         topology, measurements, solver="min_norm"
     )
-    return InferenceResult(
-        algorithm="independence",
-        congestion_probabilities=result.congestion_probabilities,
-        log_good=result.log_good,
-        uncovered_links=result.uncovered_links,
-        n_single_equations=result.n_single_equations,
-        n_pair_equations=result.n_pair_equations,
-        rank=result.rank,
-        solver=result.solver,
-        diagnostics=result.diagnostics,
-    )
+    return dataclasses.replace(result, algorithm="independence")

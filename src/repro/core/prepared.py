@@ -24,6 +24,7 @@ with :func:`use_registry`, or rely on the process-wide
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import threading
@@ -196,10 +197,10 @@ def _shared_link_pair_candidates(
 class PreparedTopology:
     """Everything the equation builder knows before any measurement.
 
-    Instances are immutable after :meth:`build` except for two lazily
-    computed, lock-guarded caches (the pair dependence mask and the
-    structural fingerprint).  They are therefore safe to share across
-    threads and across inference calls.
+    Instances are immutable after :meth:`build` except for three lazily
+    computed, lock-guarded caches (the pair dependence mask, the
+    structural fingerprint and the equation templates).  They are
+    therefore safe to share across threads and across inference calls.
 
     Attributes:
         topology: The measurement topology.
@@ -224,6 +225,8 @@ class PreparedTopology:
         "_dependent_mask",
         "_fingerprint",
         "_lock",
+        "_templates",
+        "_template_lock",
     )
 
     def __init__(
@@ -247,6 +250,10 @@ class PreparedTopology:
         self._dependent_mask: np.ndarray | None = None
         self._fingerprint: str | None = None
         self._lock = threading.Lock()
+        self._templates: dict = {}
+        # Separate from ``_lock``: a template build takes that one
+        # through ``dependent_mask``.
+        self._template_lock = threading.Lock()
 
     @classmethod
     def build(
@@ -300,6 +307,33 @@ class PreparedTopology:
                 union.data = np.minimum(union.data, 1.0)
                 self._dependent_mask = self._tracker.batch_dependent(union)
             return self._dependent_mask
+
+    def template(self, options):
+        """The equation template for ``options`` (lazy, shared).
+
+        One :class:`~repro.core.streaming.EquationTemplate` is built per
+        set of options that shape the structure (every field but
+        ``solver``), under a lock so concurrent first calls share one
+        build.  A caller whose options differ only in ``solver`` gets a
+        shallow copy carrying its own options over the same structure
+        and lifted program.
+        """
+        from repro.core.streaming import EquationTemplate
+
+        key = dataclasses.replace(options, solver="l1")
+        with self._template_lock:
+            template = self._templates.get(key)
+            if template is None:
+                template = EquationTemplate.build(
+                    self.topology,
+                    self.correlation,
+                    options=options,
+                    prepared=self,
+                )
+                self._templates[key] = template
+        if template.options != options:
+            template = dataclasses.replace(template, options=options)
+        return template
 
     @property
     def fingerprint(self) -> str:

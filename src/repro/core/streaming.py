@@ -1,19 +1,23 @@
 """Window-incremental inference: the streaming face of Section 4.
 
-The batch pipeline rebuilds the full equation system for every call to
-:func:`~repro.core.correlation_algorithm.infer_congestion`.  But with the
-paper's ``"independent"`` selection (and with ``"all"``), *which* rows are
-accepted depends only on the prepared topology — acceptance is decided by
-rank tracking over rows derived from path link-id sets, never by the
-measured values.  The accepted row **structure** is therefore constant
-across measurement windows, and a streaming engine can pay for it once:
+With the paper's ``"independent"`` selection (and with ``"all"``),
+*which* rows of the equation system are accepted depends only on the
+prepared topology — acceptance is decided by rank tracking over rows
+derived from path link-id sets, never by the measured values.  The
+accepted row **structure**, and with it the lifted L1 program, is
+therefore constant across measurement batches and is paid for once:
 
 * :class:`EquationTemplate` runs the equation builder a single time
-  against a zero-valued structure probe, caches the assembled CSR matrix
-  and the per-row value sources (path id for Eq.-9 rows, path pair for
-  Eq.-10 rows), and thereafter re-derives only the right-hand-side vector
-  ``y`` from fresh measurements plus one solve — bit-identical to a full
-  :func:`infer_congestion` over the same observations.
+  without measurements (structure only), caches the assembled CSR
+  matrix, its :class:`~repro.core.solvers.L1Program` lift and the
+  per-row value sources (path id for Eq.-9 rows, path pair for Eq.-10
+  rows), and thereafter re-derives only the right-hand-side vector
+  ``y`` from fresh measurements plus one solve.  It is the one
+  inference path: :meth:`PreparedTopology.template
+  <repro.core.prepared.PreparedTopology.template>` keeps one per set of
+  structure-shaping options, and batch inference
+  (:func:`~repro.core.correlation_algorithm.infer_congestion`), the
+  service, the predictor and the stream engine all solve on it.
 * :class:`StreamingTomography` wraps the template with per-window change
   detection: boolean verdicts against a probability threshold, onset /
   clear diffs between consecutive windows with their event timestamps,
@@ -25,14 +29,18 @@ and the detection-latency evaluation in :mod:`repro.eval.streaming`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.correlation import CorrelationStructure
 from repro.core.correlation_algorithm import AlgorithmOptions
-from repro.core.equations import build_equations
-from repro.core.interfaces import PathGoodProvider, batch_log_good_all
+from repro.core.equations import (
+    _pair_values,
+    _single_values,
+    build_equations,
+)
+from repro.core.interfaces import PathGoodProvider
 from repro.core.localization import LocalizationResult, localize_map
 from repro.core.prepared import (
     PreparedRegistry,
@@ -40,51 +48,28 @@ from repro.core.prepared import (
     get_prepared,
 )
 from repro.core.results import InferenceResult
-from repro.core.solvers import solve
+from repro.core.solvers import L1Program, solve
 from repro.core.topology import Topology
 
 __all__ = ["EquationTemplate", "WindowVerdict", "StreamingTomography"]
-
-
-class _StructureProbe:
-    """Zero-valued measurement provider used to extract row structure.
-
-    With ``"independent"``/``"all"`` selection the builder's acceptance
-    decisions never read the measured values, so probing with zeros
-    yields exactly the row set any real measurement batch would get.
-    """
-
-    def __init__(self, n_paths: int) -> None:
-        self._n_paths = n_paths
-
-    def log_good_all(self) -> np.ndarray:
-        return np.zeros(self._n_paths, dtype=np.float64)
-
-    def log_good(self, path_id: int) -> float:
-        return 0.0
-
-    def log_good_pairs(self, pairs) -> np.ndarray:
-        return np.zeros(np.asarray(pairs).shape[0], dtype=np.float64)
-
-    def log_good_pair(self, path_a: int, path_b: int) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
 class EquationTemplate:
     """The measurement-independent half of one equation system, cached.
 
-    Build once per ``(topology, correlation, options)`` with
-    :meth:`build`; then :meth:`infer` re-derives only the ``y`` vector
-    and solves — the per-window cost of the streaming engine.
+    Build once per ``(topology, correlation)`` and structure-shaping
+    options with :meth:`build` (or get the shared one from
+    :meth:`PreparedTopology.template
+    <repro.core.prepared.PreparedTopology.template>`); then :meth:`infer`
+    re-derives only the ``y`` vector and solves.  ``options.solver`` is
+    the only field that does not shape the structure.
     """
 
     topology: Topology
     options: AlgorithmOptions
-    matrix: object  # scipy.sparse.csr_matrix
-    single_positions: np.ndarray
+    program: L1Program
     single_paths: np.ndarray
-    pair_positions: np.ndarray
     pair_array: np.ndarray
     n_single: int
     n_pair: int
@@ -108,7 +93,7 @@ class EquationTemplate:
         system = build_equations(
             topology,
             correlation,
-            _StructureProbe(topology.n_paths),
+            None,
             selection=options.selection,
             max_pair_candidates=options.max_pair_candidates,
             pair_order_seed=options.pair_order_seed,
@@ -116,27 +101,19 @@ class EquationTemplate:
             registry=registry,
         )
         matrix, _ = system.sparse_matrix()
-        single_positions, single_paths = [], []
-        pair_positions, pair_array = [], []
-        for position, row in enumerate(system.rows):
-            if row.kind == "path":
-                single_positions.append(position)
-                single_paths.append(row.paths[0])
-            else:
-                pair_positions.append(position)
-                pair_array.append(row.paths)
+        # build_equations appends every Eq.-9 row before the Eq.-10 rows.
+        paths = [row.paths for row in system.rows]
         return cls(
             topology=topology,
             options=options,
-            matrix=matrix,
-            single_positions=np.asarray(single_positions, dtype=np.int64),
-            single_paths=np.asarray(single_paths, dtype=np.int64),
-            pair_positions=np.asarray(pair_positions, dtype=np.int64),
-            pair_array=(
-                np.asarray(pair_array, dtype=np.int64)
-                if pair_array
-                else np.zeros((0, 2), dtype=np.int64)
+            program=L1Program(matrix),
+            single_paths=np.array(
+                [row[0] for row in paths[: system.n_single]],
+                dtype=np.int64,
             ),
+            pair_array=np.array(
+                paths[system.n_single :], dtype=np.int64
+            ).reshape(-1, 2),
             n_single=system.n_single,
             n_pair=system.n_pair,
             rank=system.rank,
@@ -153,41 +130,19 @@ class EquationTemplate:
         """The right-hand-side ``y`` for one measurement window.
 
         Bit-identical to the values :func:`build_equations` would record:
-        both gather ``log_good_all`` by path id and evaluate
-        ``log_good_pairs`` elementwise over the accepted pairs.
+        both gather through the same helpers, here restricted to the
+        accepted rows (``log_good_pairs`` is elementwise).
         """
-        y = np.zeros(self.n_rows, dtype=np.float64)
-        if self.single_paths.size:
-            all_values = batch_log_good_all(
-                measurements, self.topology.n_paths
-            )
-            if all_values is not None:
-                singles = all_values[self.single_paths]
-            else:
-                singles = np.array(
-                    [
-                        measurements.log_good(int(path_id))
-                        for path_id in self.single_paths
-                    ],
-                    dtype=np.float64,
-                )
-            y[self.single_positions] = singles
-        if self.pair_array.shape[0]:
-            if hasattr(measurements, "log_good_pairs"):
-                pairs = np.asarray(
-                    measurements.log_good_pairs(self.pair_array),
-                    dtype=np.float64,
-                )
-            else:
-                pairs = np.array(
-                    [
-                        measurements.log_good_pair(int(a), int(b))
-                        for a, b in self.pair_array
-                    ],
-                    dtype=np.float64,
-                )
-            y[self.pair_positions] = pairs
-        return y
+        singles = _single_values(
+            measurements, self.single_paths.tolist(), self.topology.n_paths
+        )
+        pairs = _pair_values(measurements, self.pair_array)
+        if pairs is None:
+            pairs = [
+                measurements.log_good_pair(int(a), int(b))
+                for a, b in self.pair_array
+            ]
+        return np.concatenate([singles, np.asarray(pairs, dtype=np.float64)])
 
     def infer(
         self,
@@ -195,15 +150,16 @@ class EquationTemplate:
         *,
         algorithm_label: str = "correlation",
     ) -> InferenceResult:
-        """One window's inference over the cached structure.
+        """One measurement batch's inference over the cached structure.
 
-        Bit-identical to :func:`infer_congestion` with the same options
-        over the same observations — the streaming correctness anchor.
+        Bit-identical to a full :func:`build_equations` plus solve over
+        the same observations — the correctness anchor of every surface.
         """
         values = self.values(measurements)
         solution, solver_used = solve(
-            self.matrix, values, method=self.options.solver
+            self.program, values, method=self.options.solver
         )
+        # Round-off can leave tiny positive log-probabilities.
         solution = np.minimum(solution, 0.0)
         probabilities = np.clip(1.0 - np.exp(solution), 0.0, 1.0)
         return InferenceResult(
@@ -262,8 +218,8 @@ class StreamingTomography:
     """Per-window incremental inference with change detection.
 
     Feed each window's accumulated observations to :meth:`update`; the
-    equation structure is built once (reusing the
-    :class:`PreparedTopology` prep) and each window pays only the value
+    equation structure is the prepared topology's cached
+    :class:`EquationTemplate`, so each window pays only the value
     gather, the solve, and the verdict diff.
 
     Args:
@@ -297,7 +253,6 @@ class StreamingTomography:
         self._registry = registry
         self._algorithm_label = algorithm_label
         self._prepared: PreparedTopology | None = None
-        self._template: EquationTemplate | None = None
         self._previous: np.ndarray | None = None
         self._window_index = 0
 
@@ -323,15 +278,8 @@ class StreamingTomography:
         return self._prepared
 
     def template(self) -> EquationTemplate:
-        """The cached equation structure (built on first use)."""
-        if self._template is None:
-            self._template = EquationTemplate.build(
-                self._topology,
-                self._correlation,
-                options=self._options,
-                prepared=self.prepare(),
-            )
-        return self._template
+        """The prepared topology's equation template (built on first use)."""
+        return self.prepare().template(self._options)
 
     def update(self, observations: PathGoodProvider) -> WindowVerdict:
         """Infer over the current history and diff against last window."""

@@ -205,6 +205,8 @@ class TomographyService:
                     headers[name.strip().lower()] = value.strip()
                 try:
                     length = int(headers.get("content-length", "0"))
+                    if length < 0:
+                        raise ValueError(length)
                 except ValueError:
                     await self._respond(
                         writer, 400, {"error": "bad Content-Length"}

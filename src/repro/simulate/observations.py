@@ -272,12 +272,26 @@ class PathObservations:
             self._assert_matches_recompute()
 
     def _reserve(self, rows: int) -> None:
-        """Ensure the row buffers can hold ``rows`` more snapshots."""
+        """Ensure the row buffers can hold ``rows`` more snapshots.
+
+        When the write cursor reaches the buffer end, the live rows move
+        to the front of a fresh buffer: of the same capacity when they
+        and the incoming rows fit in half of it (a sliding window whose
+        evictions keep the live rows bounded), otherwise of twice their
+        size (amortised growth of an unbounded history).  Either way the
+        capacity stays at most ``2 * (live + rows)``.  The old buffer is
+        left untouched, so views handed out earlier stay valid.
+        """
         capacity = self._buf.shape[0]
-        if self._stop + rows <= capacity and self._buf.flags.writeable:
+        writeable = self._buf.flags.writeable
+        if self._stop + rows <= capacity and writeable:
             return
         valid = self.n_snapshots
-        new_capacity = max(2 * capacity, valid + rows, 16)
+        needed = valid + rows
+        if writeable and 2 * needed <= capacity:
+            new_capacity = capacity
+        else:
+            new_capacity = max(2 * needed, 16)
         buf = np.empty((new_capacity, self._n_paths), dtype=bool)
         good_buf = np.empty((new_capacity, self._n_paths), dtype=bool)
         buf[:valid] = self._buf[self._start : self._stop]

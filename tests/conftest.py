@@ -150,3 +150,36 @@ def planetlab_small():
     return generate_planetlab(
         n_routers=120, n_vantages=20, n_paths=120, seed=102
     )
+
+
+@pytest.fixture(scope="session")
+def rebuilt_log_good():
+    """The Section-4 answer by full rebuild, independent of any template.
+
+    Runs equation selection over the measured values with
+    :func:`build_equations`, then one :func:`solve` on the assembled
+    sparse system.  Returns ``(log_good, solver_used, system)``;
+    ``log_good`` is clamped to ``<= 0`` as every inference result is.
+    Template-based answers must equal it byte for byte.
+    """
+    from repro.core.correlation_algorithm import AlgorithmOptions
+    from repro.core.equations import build_equations
+    from repro.core.solvers import solve
+
+    def rebuild(instance, measurements, *, registry=None, **options):
+        options = AlgorithmOptions(**options)
+        system = build_equations(
+            instance.topology,
+            instance.correlation,
+            measurements,
+            selection=options.selection,
+            max_pair_candidates=options.max_pair_candidates,
+            pair_order_seed=options.pair_order_seed,
+            registry=registry,
+        )
+        solution, solver_used = solve(
+            *system.sparse_matrix(), method=options.solver
+        )
+        return np.minimum(solution, 0.0), solver_used, system
+
+    return rebuild

@@ -29,42 +29,62 @@ def windows_1a(instance_1a, model_1a):
     return [window.path_states for window in stream.windows(5)]
 
 
-def batch_result(instance, windows, registry, **options):
-    return infer_congestion(
-        instance.topology,
-        instance.correlation,
-        PathObservations(np.concatenate(windows, axis=0)),
-        options=AlgorithmOptions(**options),
-        registry=registry,
+SOLVERS = ("l1", "least_squares", "auto")
+
+
+def assert_matches_rebuild(result, rebuilt):
+    """``result`` equals the full-rebuild answer byte for byte."""
+    log_good, solver_used, _ = rebuilt
+    probabilities = np.clip(1.0 - np.exp(log_good), 0.0, 1.0)
+    assert result.log_good.tobytes() == log_good.tobytes()
+    assert (
+        result.congestion_probabilities.tobytes()
+        == probabilities.tobytes()
     )
+    assert result.solver == solver_used
 
 
 class TestEquationTemplate:
     @pytest.mark.parametrize("selection", ["independent", "all"])
     def test_infer_is_bit_identical_to_batch(
-        self, instance_1a, windows_1a, selection
+        self, instance_1a, windows_1a, rebuilt_log_good, selection
     ):
-        registry = PreparedRegistry()
-        template = EquationTemplate.build(
-            instance_1a.topology,
-            instance_1a.correlation,
-            options=AlgorithmOptions(selection=selection),
-        )
+        """Template and ``infer_congestion`` both equal a full rebuild,
+        for every solver."""
         observations = PathObservations(
             np.concatenate(windows_1a, axis=0)
         )
-        streamed = template.infer(observations)
-        batch = batch_result(
-            instance_1a, windows_1a, registry, selection=selection
-        )
-        assert (
-            streamed.congestion_probabilities.tobytes()
-            == batch.congestion_probabilities.tobytes()
-        )
-        assert streamed.log_good.tobytes() == batch.log_good.tobytes()
+        for solver in SOLVERS:
+            options = AlgorithmOptions(selection=selection, solver=solver)
+            template = EquationTemplate.build(
+                instance_1a.topology,
+                instance_1a.correlation,
+                options=options,
+            )
+            rebuilt = rebuilt_log_good(
+                instance_1a,
+                observations,
+                registry=PreparedRegistry(),
+                selection=selection,
+                solver=solver,
+            )
+            # Eq.-10 rows are present, so the template's row order
+            # matters.
+            assert rebuilt[2].n_pair > 0
+            assert_matches_rebuild(template.infer(observations), rebuilt)
+            assert_matches_rebuild(
+                infer_congestion(
+                    instance_1a.topology,
+                    instance_1a.correlation,
+                    observations,
+                    options=options,
+                    registry=PreparedRegistry(),
+                ),
+                rebuilt,
+            )
 
     def test_structure_is_reused_across_windows(
-        self, instance_1a, windows_1a
+        self, instance_1a, windows_1a, rebuilt_log_good
     ):
         template = EquationTemplate.build(
             instance_1a.topology, instance_1a.correlation
@@ -76,34 +96,37 @@ class TestEquationTemplate:
             observations.append_window(window)
             history.append(window)
             streamed = template.infer(observations)
-            batch = batch_result(
-                instance_1a, history, PreparedRegistry()
-            )
             assert template.n_rows == rows
-            assert (
-                streamed.congestion_probabilities.tobytes()
-                == batch.congestion_probabilities.tobytes()
+            assert_matches_rebuild(
+                streamed,
+                rebuilt_log_good(
+                    instance_1a,
+                    PathObservations(np.concatenate(history, axis=0)),
+                    registry=PreparedRegistry(),
+                ),
             )
 
 
 class TestCorrelationTomographyUpdate:
-    def test_update_matches_infer(self, instance_1a, windows_1a):
-        engine = CorrelationTomography(
-            instance_1a.topology, instance_1a.correlation
-        )
-        observations = PathObservations(windows_1a[0])
-        for window in windows_1a[1:]:
-            observations.append_window(window)
-            incremental = engine.update(observations)
-            batch = engine.infer(observations)
-            assert (
-                incremental.congestion_probabilities.tobytes()
-                == batch.congestion_probabilities.tobytes()
+    def test_update_matches_infer(
+        self, instance_1a, windows_1a, rebuilt_log_good
+    ):
+        """``update`` and ``infer`` both equal a full rebuild, for every
+        solver."""
+        for solver in SOLVERS:
+            engine = CorrelationTomography(
+                instance_1a.topology,
+                instance_1a.correlation,
+                options=AlgorithmOptions(solver=solver),
             )
-            assert (
-                incremental.log_good.tobytes()
-                == batch.log_good.tobytes()
-            )
+            observations = PathObservations(windows_1a[0])
+            for window in windows_1a[1:]:
+                observations.append_window(window)
+                rebuilt = rebuilt_log_good(
+                    instance_1a, observations, solver=solver
+                )
+                assert_matches_rebuild(engine.update(observations), rebuilt)
+                assert_matches_rebuild(engine.infer(observations), rebuilt)
 
 
 class TestStreamingTomography:
@@ -219,10 +242,10 @@ class TestStreamingTomography:
         assert plain.update(observations).localization is None
 
     def test_streaming_final_equals_batch(
-        self, instance_1a, windows_1a
+        self, instance_1a, windows_1a, rebuilt_log_good
     ):
         """The correctness anchor: after any number of windows, the
-        engine's answer equals the batch answer over the full history."""
+        engine's answer equals a full rebuild over the full history."""
         engine = StreamingTomography(
             instance_1a.topology,
             instance_1a.correlation,
@@ -233,14 +256,11 @@ class TestStreamingTomography:
         for window in windows_1a[1:]:
             observations.append_window(window)
             verdict = engine.update(observations)
-        batch = batch_result(
-            instance_1a, windows_1a, PreparedRegistry()
-        )
-        assert (
-            verdict.result.congestion_probabilities.tobytes()
-            == batch.congestion_probabilities.tobytes()
-        )
-        assert (
-            verdict.result.log_good.tobytes()
-            == batch.log_good.tobytes()
+        assert_matches_rebuild(
+            verdict.result,
+            rebuilt_log_good(
+                instance_1a,
+                PathObservations(np.concatenate(windows_1a, axis=0)),
+                registry=PreparedRegistry(),
+            ),
         )

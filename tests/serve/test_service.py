@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -159,6 +160,23 @@ class TestEndpoints:
         body = response.read()
         assert response.status == 400
         assert b"invalid JSON" in body
+
+    def test_negative_content_length_is_400(self, harness, client):
+        with socket.create_connection(
+            ("127.0.0.1", harness.service.port), timeout=10
+        ) as raw:
+            raw.sendall(
+                b"POST /topologies HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Length: -5\r\n\r\n"
+            )
+            reply = b""
+            while chunk := raw.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body) == {"error": "bad Content-Length"}
+        assert client.health()["status"] == "ok"
 
 
 class TestQueries:

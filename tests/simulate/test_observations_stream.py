@@ -138,3 +138,49 @@ class TestEviction:
         assert observations.congested_mask_of_snapshot(1) == 0b00
         with pytest.raises(MeasurementError, match="out of range"):
             observations.congested_mask_of_snapshot(2)
+
+
+class TestSlidingBuffer:
+    def test_capacity_stays_bounded_over_a_long_stream(self, monkeypatch):
+        """A sliding window compacts its live rows instead of growing:
+        capacity never exceeds twice the bound plus one window, while
+        every eviction still matches a from-scratch recompute."""
+        monkeypatch.setenv("REPRO_STREAM_VERIFY", "1")
+        max_window, window_rows = 40, 6
+        windows = random_windows(7, 1000, n_paths=5, rows=(1, window_rows))
+        observations = PathObservations(windows[0], max_window=max_window)
+        observations.joint_good_gram()
+        observations.observed_masks()
+        history = [windows[0]]
+        for window in windows[1:]:
+            observations.append_window(window)
+            history.append(window)
+            assert observations._buf.shape[0] <= 2 * (
+                max_window + window_rows
+            )
+        full = np.concatenate(history, axis=0)
+        assert_same_state(
+            observations, PathObservations(full[-max_window:])
+        )
+
+    def test_compaction_keeps_earlier_views_intact(self):
+        windows = random_windows(8, 60, n_paths=4, rows=(3, 3))
+        observations = PathObservations(windows[0], max_window=9)
+        for window in windows[1:30]:
+            observations.append_window(window)
+        view = observations.path_states
+        snapshot = view.copy()
+        for window in windows[30:]:
+            observations.append_window(window)
+        assert np.array_equal(view, snapshot)
+
+    def test_unbounded_history_still_grows(self):
+        windows = random_windows(9, 200, n_paths=3, rows=(5, 5))
+        observations = PathObservations(windows[0])
+        for window in windows[1:]:
+            observations.append_window(window)
+        assert observations.n_snapshots == 1000
+        assert observations._buf.shape[0] <= 2 * (1000 + 5)
+        assert np.array_equal(
+            observations.path_states, np.concatenate(windows, axis=0)
+        )
