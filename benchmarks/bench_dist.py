@@ -20,18 +20,15 @@ Runs the figure-3 sweep several ways over the same instance and seed:
   CI too — the latency injection makes the gain reproducible on any
   machine).
 
-* **remote-v3 / remote-socket** — the protocol-v4 acceptance pair:
-  the headline fleet shape swept once pinned to the legacy pickled
-  wire (``wire_version=3``) and once on v4 frames with the
-  shared-memory data plane disabled (``transport="socket"``), so every
-  wire generation and data plane lands in the bit-identity check.
-  The v4 *speed* gates are microbenches, where the wire work is not
-  buried under compute: ``--require-wire-gain [RATIO]`` (default 1.3)
-  gates the v4 chunk codec against the v3 pickled codec on a
-  chunk-heavy task list, and ``--require-shm-gain [RATIO]`` (default
-  1.1) gates shared-memory slot delivery against loopback-TCP frames
-  at result-buffer payload sizes, receiver in a separate process both
-  ways;
+* **remote-socket** — the headline fleet shape swept with the
+  shared-memory data plane disabled (``transport="socket"``), so both
+  data planes land in the bit-identity check.  The wire *speed* gates
+  are microbenches, where the wire work is not buried under compute:
+  ``--require-wire-gain [RATIO]`` (default 1.3) gates the chunk codec
+  against a ``pickle`` baseline of the same chunk-heavy task list, and
+  ``--require-shm-gain [RATIO]`` (default 1.1) gates shared-memory slot
+  delivery against loopback-TCP frames at result-buffer payload sizes,
+  receiver in a separate process both ways;
 
 * **remote-chaos** — the fault-matrix leg: two fresh workers whose
   ``REPRO_CHAOS`` environment arms one to corrupt a result frame and
@@ -44,8 +41,8 @@ Runs the figure-3 sweep several ways over the same instance and seed:
 
 * **plain-autolaunch / secure-autolaunch** — the wire-security
   acceptance pair: the same two-worker autolaunched fleet swept over a
-  trusted socket and again with TLS plus the shared-secret (protocol
-  v3) handshake.  Identical launch and compute on both sides, so the
+  trusted socket and again with TLS plus the shared-secret
+  handshake.  Identical launch and compute on both sides, so the
   ratio isolates the security layer's cost; ``--require-secure-overhead
   [RATIO]`` (default 1.15) gates it, and the **fail-closed checks**
   (``--require-fail-closed``) prove a wrong-secret and a no-secret
@@ -205,22 +202,17 @@ def _kill_when_store_populated(worker, store, landed):
 def _check_fail_closed(tls_paths, secret, sweep_kwargs) -> dict:
     """Prove refused connections deserialize nothing on the worker.
 
-    Runs one TLS + secret worker in-process with ``pickle`` swapped
-    for a counting proxy in *both* unpickle sites a session touches —
-    the worker module (init triple, chunk task lists) and the protocol
-    module (every frame header inside ``recv_message``) — then
-    attempts a sweep with a wrong secret and one with no secret at
-    all.  Both must raise :class:`DistSecurityError`, and the counter
-    must show the worker-side session threads unpickled zero objects:
-    the refusal landed before anything was deserialized (the
-    pickle-over-socket RCE surface stays closed).  Counting is
-    attributed by thread name because the coordinator shares this
-    process and legitimately unpickles the worker's refusal header.
+    Runs one TLS + secret worker in-process with the stdlib
+    ``pickle.loads`` and ``pickle.Unpickler`` replaced by counting
+    wrappers, then attempts a sweep with a wrong secret and one with no
+    secret at all.  Both must raise :class:`DistSecurityError`, and the
+    counter must show the worker-side session threads deserialized
+    zero objects: the refusal landed before anything was parsed.
+    Counting is attributed by thread name because the coordinator
+    shares this process.
     """
-    import types
+    import pickle
 
-    import repro.eval.dist.protocol as protocol_module
-    import repro.eval.dist.worker as worker_module
     from repro.eval.dist import (
         DistSecurityError,
         WorkerServer,
@@ -229,18 +221,22 @@ def _check_fail_closed(tls_paths, secret, sweep_kwargs) -> dict:
     )
 
     loads_calls: list[int] = []
-    real_pickle = worker_module.pickle
+    real_loads = pickle.loads
+    real_unpickler = pickle.Unpickler
 
-    def counting_loads(data):
+    def _count() -> None:
         if threading.current_thread().name.startswith("worker-session"):
             loads_calls.append(1)
-        return real_pickle.loads(data)
 
-    counting = types.SimpleNamespace(
-        loads=counting_loads,
-        dumps=real_pickle.dumps,
-        HIGHEST_PROTOCOL=real_pickle.HIGHEST_PROTOCOL,
-    )
+    def counting_loads(*args, **kwargs):
+        _count()
+        return real_loads(*args, **kwargs)
+
+    class CountingUnpickler(real_unpickler):
+        def __init__(self, *args, **kwargs):
+            _count()
+            super().__init__(*args, **kwargs)
+
     server = WorkerServer(
         secret=secret,
         ssl_context=server_context(tls_paths.cert, tls_paths.key),
@@ -263,13 +259,13 @@ def _check_fail_closed(tls_paths, secret, sweep_kwargs) -> dict:
             dict(ssl_context=client_context(cafile=tls_paths.cert)),
         ),
     )
-    worker_module.pickle = counting
-    protocol_module.pickle = counting
+    pickle.loads = counting_loads
+    pickle.Unpickler = CountingUnpickler
     try:
         # Sanity: the instrumentation actually counts (from a thread
         # named like a worker session, as real counts will be).
         probe = threading.Thread(
-            target=lambda: counting.loads(real_pickle.dumps(1)),
+            target=lambda: pickle.loads(pickle.dumps(1)),
             name="worker-session-probe",
         )
         probe.start()
@@ -298,20 +294,20 @@ def _check_fail_closed(tls_paths, secret, sweep_kwargs) -> dict:
                     f"DistSecurityError: {exc}",
                 )
     finally:
-        worker_module.pickle = real_pickle
-        protocol_module.pickle = real_pickle
+        pickle.loads = real_loads
+        pickle.Unpickler = real_unpickler
         server.close()
     return checks
 
 
 def _check_wire_codec(seed: int, n_tasks: int = 400, rounds: int = 9):
-    """v4 chunk codec vs the v3 pickled wire on one chunk-heavy list.
+    """The chunk codec vs a ``pickle`` baseline on one chunk-heavy list.
 
-    Times the exact per-chunk wire work of each generation — v3's
-    ``pickle.dumps``/``pickle.loads`` of the task list against v4's
-    ``encode_tasks``/``decode_tasks`` — interleaved within each round so
-    machine noise lands on all four measurements alike, and reduced by
-    median.  Sweep wall-clock cannot gate this (compute buries the
+    Times the per-chunk wire work — ``encode_tasks``/``decode_tasks``
+    against ``pickle.dumps``/``pickle.loads`` of the same task list, a
+    reference kept here only for comparison — interleaved within each
+    round so machine noise lands on all four measurements alike, and
+    reduced by median.  Sweep wall-clock cannot gate this (compute buries the
     wire); the microbench isolates what the codec itself costs.
     """
     import pickle
@@ -326,25 +322,25 @@ def _check_wire_codec(seed: int, n_tasks: int = 400, rounds: int = 9):
         n_trials=n_tasks,
         seed=seed,
     )
-    v3_blob = pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL)
-    v4_blob = encode_tasks(tasks)
+    pickle_blob = pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL)
+    codec_blob = encode_tasks(tasks)
     samples: dict[str, list[float]] = {
-        "v3_enc": [],
-        "v3_dec": [],
-        "v4_enc": [],
-        "v4_dec": [],
+        "pickle_enc": [],
+        "pickle_dec": [],
+        "codec_enc": [],
+        "codec_dec": [],
     }
     for _ in range(rounds):
         for label, call in (
             (
-                "v3_enc",
+                "pickle_enc",
                 lambda: pickle.dumps(
                     tasks, protocol=pickle.HIGHEST_PROTOCOL
                 ),
             ),
-            ("v4_enc", lambda: encode_tasks(tasks)),
-            ("v3_dec", lambda: pickle.loads(v3_blob)),
-            ("v4_dec", lambda: decode_tasks(v4_blob)),
+            ("codec_enc", lambda: encode_tasks(tasks)),
+            ("pickle_dec", lambda: pickle.loads(pickle_blob)),
+            ("codec_dec", lambda: decode_tasks(codec_blob)),
         ):
             t0 = time.perf_counter()
             call()
@@ -352,13 +348,13 @@ def _check_wire_codec(seed: int, n_tasks: int = 400, rounds: int = 9):
     med = {k: statistics.median(v) for k, v in samples.items()}
     return {
         "n_tasks": n_tasks,
-        "encode_speedup": med["v3_enc"] / med["v4_enc"],
-        "decode_speedup": med["v3_dec"] / med["v4_dec"],
-        "codec_speedup": (med["v3_enc"] + med["v3_dec"])
-        / (med["v4_enc"] + med["v4_dec"]),
-        "size_ratio": len(v3_blob) / len(v4_blob),
-        "v3_bytes": len(v3_blob),
-        "v4_bytes": len(v4_blob),
+        "encode_speedup": med["pickle_enc"] / med["codec_enc"],
+        "decode_speedup": med["pickle_dec"] / med["codec_dec"],
+        "codec_speedup": (med["pickle_enc"] + med["pickle_dec"])
+        / (med["codec_enc"] + med["codec_dec"]),
+        "size_ratio": len(pickle_blob) / len(codec_blob),
+        "pickle_bytes": len(pickle_blob),
+        "codec_bytes": len(codec_blob),
     }
 
 
@@ -688,8 +684,8 @@ def main(argv=None) -> int:
         type=float,
         metavar="RATIO",
         help=(
-            "exit nonzero unless the v4 chunk codec beats the v3 "
-            "pickled codec by at least RATIO (default 1.3) on the "
+            "exit nonzero unless the chunk codec beats a pickle "
+            "baseline by at least RATIO (default 1.3) on the "
             "chunk-heavy microbench"
         ),
     )
@@ -780,12 +776,11 @@ def main(argv=None) -> int:
     finally:
         for worker in workers:
             worker.stop()
-    print(f"remote (2 workers, v4 + auto transport): {t_remote:7.2f} s")
+    print(f"remote (2 workers, auto transport): {t_remote:7.2f} s")
 
-    # Wire-generation legs: the same fleet shape pinned to the legacy
-    # pickled wire and to v4-frames-over-socket, so every generation
-    # and data plane produces figure data for the bit-identity check.
-    # (Fresh fleets per leg: bench workers pin --max-sessions 1.)
+    # The same fleet shape over the socket data plane, so both data
+    # planes produce figure data for the bit-identity check.  (Fresh
+    # fleets per leg: bench workers pin --max-sessions 1.)
     def _pinned_leg(**executor_kwargs):
         fleet = []
         try:
@@ -803,16 +798,14 @@ def main(argv=None) -> int:
             for worker in fleet:
                 worker.stop()
 
-    t_remote_v3, remote_v3 = _pinned_leg(wire_version=3)
-    print(f"remote, v3 pickled wire:   {t_remote_v3:7.2f} s")
     t_remote_socket, remote_socket = _pinned_leg(transport="socket")
-    print(f"remote, v4 socket-only:    {t_remote_socket:7.2f} s")
+    print(f"remote, socket-only:       {t_remote_socket:7.2f} s")
 
-    # The v4 speed gates, isolated from sweep compute (which buries
+    # The wire speed gates, isolated from sweep compute (which buries
     # wire costs at any realistic snapshot count).
     wire = _check_wire_codec(args.seed)
     print(
-        f"v4 wire codec speedup over v3 (pickle), "
+        f"wire codec speedup over a pickle baseline, "
         f"{wire['n_tasks']}-task chunk: {wire['codec_speedup']:.2f}x "
         f"(encode {wire['encode_speedup']:.2f}x, decode "
         f"{wire['decode_speedup']:.2f}x, payload "
@@ -1030,7 +1023,6 @@ def main(argv=None) -> int:
     hetero_reference = _points_as_dicts(hetero_serial)
     for label, result, expected in (
         ("remote", remote, reference),
-        ("remote-v3", remote_v3, reference),
         ("remote-socket", remote_socket, reference),
         ("remote-kill", survived, reference),
         ("remote-chaos", chaos_result, reference),
@@ -1045,7 +1037,7 @@ def main(argv=None) -> int:
             )
     if not failures:
         print(
-            "bit-identical: serial == remote == remote-v3 == "
+            "bit-identical: serial == remote == "
             "remote-socket == remote-kill == remote-chaos == "
             "plain-autolaunch == secure-autolaunch and "
             "serial == elastic-uniform == elastic-aware"
@@ -1101,7 +1093,7 @@ def main(argv=None) -> int:
         and wire["codec_speedup"] < args.require_wire_gain
     ):
         failures.append(
-            f"v4 chunk codec beat the v3 pickled codec by only "
+            f"chunk codec beat the pickle baseline by only "
             f"{wire['codec_speedup']:.2f}x "
             f"(required {args.require_wire_gain:.2f}x)"
         )
@@ -1142,8 +1134,8 @@ def main(argv=None) -> int:
             "hetero_trials": hetero_trials,
             "hetero_throttle_s": hetero_throttle,
             "wire_bench_tasks": wire["n_tasks"],
-            "wire_v3_bytes": wire["v3_bytes"],
-            "wire_v4_bytes": wire["v4_bytes"],
+            "wire_pickle_bytes": wire["pickle_bytes"],
+            "wire_codec_bytes": wire["codec_bytes"],
             "shm_frame_bytes": (
                 shm_bench["frame_bytes"] if shm_bench else None
             ),
@@ -1152,7 +1144,6 @@ def main(argv=None) -> int:
         timings_s={
             "serial": t_serial,
             "remote": t_remote,
-            "remote_v3": t_remote_v3,
             "remote_socket": t_remote_socket,
             "remote_kill": t_kill,
             "remote_chaos": t_chaos,

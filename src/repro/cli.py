@@ -76,12 +76,11 @@ Every backend is bit-identical to the serial run at a fixed seed; a
 worker that dies mid-sweep only costs the chunks it was computing (the
 coordinator requeues them on the survivors).
 
-Wire generations: current coordinators and workers negotiate the
-protocol-v4 schema'd binary codec (pickle-free in both directions) and,
-for same-host sessions, a shared-memory data plane; ``--wire-version``
-pins the generation and ``--transport`` the data plane, while older
-peers interoperate automatically on the legacy pickled frames
-(``worker --protocol-max 3`` serves exactly the pre-v4 wire).
+The wire: coordinators and workers speak one protocol version (JSON
+frame headers and a schema'd binary codec for the payloads) and refuse
+peers of any other version with one clean error; same-host sessions
+move payloads through a shared-memory data plane (``--transport``
+selects it).
 
 Fault tolerance (remote backend): connects retry with jittered
 exponential backoff (``--connect-attempts``); hung-but-connected
@@ -102,8 +101,8 @@ complete.
 
 Wire security (both the ``worker`` and the figure commands):
 
-* ``--secret-file PATH`` (or ``REPRO_DIST_SECRET``) arms the protocol
-  v3 shared-secret handshake: every connection must prove knowledge of
+* ``--secret-file PATH`` (or ``REPRO_DIST_SECRET``) arms the
+  shared-secret handshake: every connection must prove knowledge of
   the token (HMAC challenge/response, mutual, replay-proof) before any
   payload byte is read, and unauthenticated peers are refused with a
   clean error.  There is deliberately no ``--secret VALUE`` flag —
@@ -137,8 +136,8 @@ __all__ = ["main", "build_parser"]
 def _version_string() -> str:
     """Package, wire-protocol, and journal-format versions in one line.
 
-    Operators pin fleets by these: mixed-version coordinators/workers
-    negotiate by the wire protocol number, and ``--resume`` refuses
+    Operators match fleets by these: a worker refuses a coordinator
+    of another wire protocol version, and ``--resume`` refuses
     journals written by a different journal format.
     """
     from repro import __version__
@@ -240,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST",
         help=(
             "interface to listen on (default loopback; use a private "
-            "interface on trusted clusters — the protocol carries "
-            "pickles and must not face untrusted networks)"
+            "interface on trusted clusters — an unsecured worker runs "
+            "sweeps for anyone who connects, so secure the wire with "
+            "--secret-file/TLS before it faces untrusted networks)"
         ),
     )
     worker.add_argument(
@@ -259,17 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
             "parallel chunk slots advertised to the coordinator; "
             "chunks execute on a process pool of this size "
             "(default 0 = one slot per CPU core)"
-        ),
-    )
-    worker.add_argument(
-        "--protocol-max",
-        type=int,
-        default=None,
-        metavar="V",
-        help=(
-            "highest wire protocol version to negotiate (default: the "
-            "library's latest); pin to 3 to serve the legacy pickled "
-            "wire in mixed-version fleets"
         ),
     )
     worker.add_argument(
@@ -924,22 +913,11 @@ def _workers_argument(parser: argparse.ArgumentParser) -> None:
         choices=("auto", "shm", "socket"),
         default="auto",
         help=(
-            "remote backend only: data plane for protocol-v4 sessions "
-            "— 'auto' (default) uses shared memory for same-host "
-            "workers and the socket elsewhere, 'shm' offers shared "
-            "memory to every v4 worker, 'socket' never does; results "
-            "are bit-identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--wire-version",
-        type=int,
-        choices=(3, 4),
-        default=None,
-        help=(
-            "remote backend only: pin the wire generation — 3 forces "
-            "the legacy pickled frames, 4 requires the schema'd "
-            "binary codec (default: negotiate the best per worker)"
+            "remote backend only: session data plane — 'auto' "
+            "(default) uses shared memory for same-host workers and "
+            "the socket elsewhere, 'shm' offers shared memory to every "
+            "worker, 'socket' never does; results are bit-identical "
+            "either way"
         ),
     )
     parser.add_argument(
@@ -1085,7 +1063,7 @@ def _add_security_arguments(parser, *, role: str) -> None:
         metavar="PATH",
         help=(
             "file holding the shared secret (first line) for the "
-            "authenticated (v3) wire protocol; default: the "
+            "authenticated wire handshake; default: the "
             "REPRO_DIST_SECRET environment variable, else "
             "authentication off"
         ),
@@ -1349,7 +1327,6 @@ def _make_executor(args):
             straggler_timeout=args.straggler_timeout,
             secret=secret,
             ssl_context=ssl_context,
-            wire_version=getattr(args, "wire_version", None),
             transport=getattr(args, "transport", "auto"),
             **_robustness_kwargs(args),
         )
@@ -1434,7 +1411,6 @@ def _make_executor(args):
         straggler_timeout=args.straggler_timeout,
         secret=secret,
         ssl_context=ssl_context,
-        wire_version=getattr(args, "wire_version", None),
         transport=getattr(args, "transport", "auto"),
         **_robustness_kwargs(args),
     )
@@ -1812,7 +1788,6 @@ def _run_worker(args) -> int:
         throttle=args.throttle,
         secret=secret,
         ssl_context=ssl_context,
-        protocol_max=args.protocol_max,
         log=lambda message: print(message, flush=True),
     )
     if args.exit_on_stdin_close:

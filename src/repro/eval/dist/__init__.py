@@ -1,6 +1,6 @@
 """Distributed sweep backend: coordinator, workers, wire protocol.
 
-The eval engine's task lists are explicit and picklable, so scaling a
+The eval engine's task lists are explicit and encodable, so scaling a
 sweep beyond one host is a scheduling problem, not an algorithmic one:
 :class:`RemoteExecutor` (the coordinator) plugs into
 :func:`repro.eval.parallel.run_scenario_tasks` exactly like the serial
@@ -64,24 +64,16 @@ from repro.eval.dist.launch import (
     WorkerLauncher,
 )
 from repro.eval.dist.protocol import (
-    AUTH_PROTOCOL_VERSION,
-    CAPACITY_PROTOCOL_VERSION,
-    CODEC_PROTOCOL_VERSION,
     MAGIC,
-    MAGIC_V4,
-    PROTOCOL_BASE_VERSION,
     PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
     TlsMismatchError,
     buffer_payload,
-    negotiate_version,
     payload_to_buffer,
     read_magic,
     recv_json_message,
-    recv_message,
     send_json_message,
-    send_message,
 )
 from repro.eval.dist.shm import (
     CRC_LAYOUT,
@@ -119,12 +111,7 @@ __all__ = [
     "LaunchedWorker",
     "LaunchError",
     "PROTOCOL_VERSION",
-    "PROTOCOL_BASE_VERSION",
-    "CAPACITY_PROTOCOL_VERSION",
-    "AUTH_PROTOCOL_VERSION",
-    "CODEC_PROTOCOL_VERSION",
     "MAGIC",
-    "MAGIC_V4",
     "AUTH_MAGIC",
     "ProtocolError",
     "ConnectionClosed",
@@ -132,10 +119,7 @@ __all__ = [
     "DistSecurityError",
     "AuthError",
     "CodecError",
-    "negotiate_version",
     "read_magic",
-    "send_message",
-    "recv_message",
     "send_json_message",
     "recv_json_message",
     "buffer_payload",

@@ -1,10 +1,10 @@
-"""Schema'd binary codecs for protocol v4 session payloads.
+"""Schema'd binary codecs for the dist wire's session payloads.
 
-Protocol v4 replaces the three pickled payloads of a sweep session with
-explicit, versioned encodings — the last deserialization surface of the
-distributed backend after v3 closed the unauthenticated one:
+The two payloads a sweep session ships to a worker have explicit,
+versioned encodings, so a worker never deserializes anything but
+JSON and fixed-layout records:
 
-* **init context** (:func:`encode_context` / :func:`decode_context`):
+* **sweep context** (:func:`encode_context` / :func:`decode_context`):
   one canonical-JSON document carrying the instance in its
   :func:`repro.io.instance_to_dict` form, the coordinator-computed
   :func:`repro.io.instance_fingerprint` (so worker-side cache keys are
@@ -21,22 +21,20 @@ distributed backend after v3 closed the unauthenticated one:
   through :func:`repro.utils.rng.as_generator`, so the ~15µs-per-seed
   numpy reconstruction is deferred into the pool children at execution
   time instead of serialising chunk decode;
-* **chunk results** reuse the packed float64 transport that predates
-  v4 (:func:`repro.eval.parallel._pack_error_dicts`); the descriptor
-  rides in the v4 JSON frame header, so results were already
-  pickle-free and only needed the header encoding to change.
+* **chunk results** reuse the engine's packed float64 transport
+  (:func:`repro.eval.parallel._pack_error_dicts`); the descriptor
+  rides in the JSON frame header.
 
-Fallback contract: :class:`CodecError` means "this payload cannot be
-carried losslessly by the v4 codec" — a non-JSON-native factory kwarg,
-an exotic node id, a non-PCG64 seed.  The coordinator catches it while
-*encoding* and offers protocol 3 for the sweep instead (pickled wire,
-unchanged semantics); it is never acceptable to coerce and ship, since
-a lossy wire could silently break the bit-identity guarantee between
-serial and remote execution.
+Failure contract: :class:`CodecError` means "this payload cannot be
+carried losslessly by the codec" — a non-JSON-native factory kwarg, an
+exotic node id, a non-PCG64 seed — and names the offending field.  The
+coordinator encodes the whole sweep before it opens any connection, so
+such a sweep fails up front with that error; it is never acceptable to
+coerce and ship, since a lossy wire could silently break the
+bit-identity guarantee between serial and remote execution.
 
-The codec is versioned independently of the protocol handshake: every
-encoded payload leads with :data:`CODEC_VERSION`, so a future v5 frame
-can carry a v1 codec payload during upgrades.
+Every encoded payload leads with :data:`CODEC_VERSION`, so a payload of
+another codec version is rejected at decode instead of misread.
 """
 
 from __future__ import annotations
@@ -69,9 +67,9 @@ CODEC_VERSION = 1
 class CodecError(ProtocolError):
     """The payload cannot be carried losslessly by the v4 codec.
 
-    On the encoding side this is a *fallback signal* (the coordinator
-    offers the pickled v3 wire instead); on the decoding side it means
-    a corrupt or version-skewed payload and aborts the session.
+    On the encoding side it fails the sweep before any connection; on
+    the decoding side it means a corrupt or version-skewed payload and
+    aborts the session.
     """
 
 
@@ -93,8 +91,7 @@ def _to_wire_value(value, where: str):
     (:data:`_TUPLE_TAG`) so :func:`_from_wire_value` restores their
     type; anything else — sets, numpy values, arbitrary objects, or
     dicts with non-string keys, all of which JSON would drop or rewrite
-    — raises :class:`CodecError` and the caller falls back to the
-    pickled wire.
+    — raises :class:`CodecError` naming ``where``.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -190,7 +187,7 @@ def encode_context(context) -> bytes:
             raise CodecError(
                 f"link {link.name!r} has non-JSON node ids "
                 f"({type(link.src).__name__}/{type(link.dst).__name__}); "
-                "the pickled wire is the only lossless transport for them"
+                "the codec carries str and int node ids only"
             )
     doc = {
         "codec": CODEC_VERSION,
@@ -357,8 +354,8 @@ def encode_tasks(tasks) -> bytes:
     into side tables (tasks of one sweep share them almost entirely);
     each task is then a fixed-width record of table indices plus its
     two packed generator states.  Raises :class:`CodecError` whenever a
-    field would not round-trip exactly — the coordinator then falls
-    back to the pickled v3 wire for the whole sweep.
+    field would not round-trip exactly, which fails the sweep before
+    any connection.
     """
     factories = _Table()
     kwargs_table = _Table()

@@ -8,22 +8,22 @@ launches itself through a :mod:`repro.eval.dist.launch` launcher and
 tears down when the sweep ends.  One thread per worker drives a
 request/response session:
 
+* the sweep is encoded once, before any connection
+  (:mod:`repro.eval.dist.codec`): a sweep the codec cannot carry fails
+  up front with the :class:`~repro.eval.dist.codec.CodecError` that
+  names the field;
 * the (instance, config, options) triple is shipped **once** per worker
-  session, never per chunk — as the pickled ``init`` payload on legacy
-  (v1–v3) sessions, and as a canonical-JSON ``context`` frame on
-  protocol-v4 sessions (:mod:`repro.eval.dist.codec`), which are
-  pickle-free in both directions;
-* v4 sessions with a same-host worker (loopback endpoint, or a
+  session, never per chunk, as a canonical-JSON ``context`` frame;
+* sessions with a same-host worker (loopback endpoint, or a
   ``LocalLauncher`` fleet) can further move chunk and result payloads
   through shared-memory rings (:mod:`repro.eval.dist.shm`) — frames
   then carry ``slot``/``size`` references while the bytes skip the
   socket entirely (``transport=`` selects; ``"auto"`` detects);
-* the handshake negotiates a protocol version
-  (:func:`repro.eval.dist.protocol.negotiate_version`); version-2
-  workers advertise a *capacity* (parallel chunk slots, CPU count by
-  default) and the session thread keeps up to that many chunks in
-  flight, so a capacity-2 host computes two chunks while a capacity-1
-  host computes one — claims are sized proportionally to capacity;
+* workers advertise a *capacity* (parallel chunk slots, CPU count by
+  default) in their ``ready`` frame and the session thread keeps up to
+  that many chunks in flight, so a capacity-2 host computes two chunks
+  while a capacity-1 host computes one — claims are sized
+  proportionally to capacity;
 * each thread claims chunks from the shared :class:`ChunkBoard`, sends
   them, and settles results as they come back — chunk results are one
   packed float64 payload (the in-host pool's transport) and are yielded
@@ -44,9 +44,9 @@ its own pre-spawned generators and results are keyed by chunk index —
 so remote execution is bit-identical to serial execution no matter how
 chunks land on workers, how many die, or how many duplicates race.
 
-Wire security (protocol v3): ``secret=`` arms the mutual HMAC
-handshake of :mod:`repro.eval.dist.auth` — run before the pickled init
-payload is sent and before anything a worker says is unpickled — and
+Wire security: ``secret=`` arms the mutual HMAC handshake of
+:mod:`repro.eval.dist.auth` — run before the sweep context is sent and
+before any session frame from the worker is read — and
 ``ssl_context=`` TLS-wraps every worker socket
 (:func:`repro.eval.dist.certs.client_context`).  A sweep whose *every*
 worker is refused on security grounds raises
@@ -67,7 +67,6 @@ surfaces the last transport error.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import queue
 import random
 import select
@@ -83,23 +82,16 @@ from repro.eval.dist.auth import (
     client_handshake,
     normalize_secret,
 )
-from repro.eval.dist.codec import CodecError, encode_context, encode_tasks
+from repro.eval.dist.codec import encode_context, encode_tasks
 from repro.eval.dist.protocol import (
-    CAPACITY_PROTOCOL_VERSION,
-    CODEC_PROTOCOL_VERSION,
-    MAGIC_V4,
-    PROTOCOL_BASE_VERSION,
     PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
     TlsMismatchError,
     disable_nagle,
     payload_to_buffer,
-    read_magic,
     recv_json_message,
-    recv_message,
     send_json_message,
-    send_message,
 )
 from repro.eval.dist.shm import (
     ShmError,
@@ -609,51 +601,11 @@ class ChunkBoard:
             self.condition.notify_all()
 
 
-class _ChunkEncodings:
-    """Per-wire-generation chunk payloads, encoded once per sweep.
-
-    A mixed fleet needs the same chunk in both encodings: v4 workers
-    read struct-codec records, v3 workers read the legacy pickle.  v4
-    encodings are computed eagerly when the sweep offers v4 — the shm
-    chunk ring is sized to the largest one before any session starts —
-    while legacy pickles are produced lazily (and memoized) only for
-    the sessions that actually negotiate down.
-    """
-
-    def __init__(self, chunks, *, with_v4: bool) -> None:
-        self._chunks = chunks
-        self._lock = threading.Lock()
-        self._legacy: list[bytes | None] = [None] * len(chunks)
-        self._v4: list[bytes] | None = None
-        if with_v4:
-            self._v4 = [encode_tasks(chunk) for chunk in chunks]
-
-    @property
-    def max_v4_size(self) -> int:
-        return max((len(data) for data in self._v4), default=0)
-
-    def get(self, version: int, index: int) -> bytes:
-        if version >= CODEC_PROTOCOL_VERSION:
-            return self._v4[index]
-        data = self._legacy[index]
-        if data is None:
-            encoded = pickle.dumps(
-                self._chunks[index], protocol=pickle.HIGHEST_PROTOCOL
-            )
-            with self._lock:
-                if self._legacy[index] is None:
-                    self._legacy[index] = encoded
-                data = self._legacy[index]
-        return data
-
-
 class _SweepWire(NamedTuple):
-    """Everything a session thread needs to speak its peer's wire."""
+    """The sweep's codec'd payloads, encoded once before any session."""
 
-    offer: int  # highest protocol version this sweep offers
-    init_payload: bytes  # pickled context for legacy (v1–v3) sessions
-    context_v4: bytes | None  # codec'd context for v4 sessions
-    encodings: _ChunkEncodings
+    context: bytes
+    chunks: list[bytes]
 
 
 class _Session(NamedTuple):
@@ -667,11 +619,22 @@ class _Session(NamedTuple):
     """
 
     sock: socket.socket
-    raw_sock: socket.socket
-    version: int
-    session_v4: bool
     capacity: int
-    features: tuple  # worker feature advertisement from its ready frame
+
+
+def _wake_reader(sock) -> None:
+    """Make a recv parked on ``sock`` return, leaving the socket open.
+
+    Only the session thread that owns a socket closes it: closing one
+    from another thread can tear a frame that thread is still sending.
+    The base-class ``shutdown`` is called even on TLS sockets, because
+    ``SSLSocket.shutdown`` would also drop the TLS state that a
+    concurrent send still needs.
+    """
+    try:
+        socket.socket.shutdown(sock, socket.SHUT_RD)
+    except OSError:
+        pass
 
 
 class RemoteExecutor(TaskExecutor):
@@ -697,43 +660,33 @@ class RemoteExecutor(TaskExecutor):
             overhead.
         capacity_aware: When ``False``, ignore worker capacity
             advertisements and keep one chunk in flight per worker (the
-            version-1 schedule); the benchmark uses this as the uniform
+            uniform schedule); the benchmark uses this as its
             baseline.
-        secret: Shared secret (str or bytes) for the v3 HMAC handshake
+        secret: Shared secret (str or bytes) for the HMAC handshake
             (:mod:`repro.eval.dist.auth`).  When set, every worker must
             prove knowledge of the same secret before the coordinator
-            ships it the (pickled) sweep payload; a sweep whose every
-            worker fails the handshake raises
+            ships it the sweep context; a sweep whose every worker
+            fails the handshake raises
             :class:`~repro.exceptions.DistSecurityError` instead of the
             generic lost-chunks error.
         ssl_context: Optional client-side :class:`ssl.SSLContext`
             (see :func:`repro.eval.dist.certs.client_context`); worker
             sockets are TLS-wrapped right after connecting, before any
             frame is exchanged.
-        wire_version: Wire-generation pin.  ``None`` (default) offers
-            the library's best (v4) and serves whatever each worker
-            negotiates; a sweep whose payloads the v4 codec cannot
-            express falls back to offering v3 for the whole sweep.
-            ``3`` forces the legacy pickled wire (the benchmark's
-            baseline); ``4`` *requires* the pickle-free wire — a worker
-            that cannot speak it, or a payload the codec rejects, fails
-            the session/sweep instead of downgrading.
-        transport: Data-plane selection for v4 sessions.  ``"auto"``
-            (default) uses shared-memory rings for workers on this host
-            (loopback endpoints, or a launcher with ``same_host=True``)
-            and the socket elsewhere; ``"shm"`` offers rings to every
-            v4 worker (a worker that cannot attach nacks back to the
-            socket); ``"socket"`` never offers rings.  Legacy sessions
-            always use the socket.
+        transport: Data-plane selection.  ``"auto"`` (default) uses
+            shared-memory rings for workers on this host (loopback
+            endpoints, or a launcher with ``same_host=True``) and the
+            socket elsewhere; ``"shm"`` offers rings to every worker (a
+            worker that cannot attach nacks back to the socket);
+            ``"socket"`` never offers rings.
         shm_slot_bytes: Result-ring slot size for shm sessions.  Slots
             are virtual memory — untouched pages cost nothing — so the
             default (16 MiB) is generous; a result that outgrows its
             slot simply arrives inline on the socket.
-        heartbeat_interval: Liveness budget (seconds) for v4 workers
-            that advertise the ``heartbeat`` feature: such workers emit
-            unsolicited pong frames twice per interval, the coordinator
-            pings once a silence exceeds one interval, and a session
-            silent past 1.5× the interval is torn down
+        heartbeat_interval: Liveness budget (seconds): every worker
+            emits unsolicited pong frames twice per interval, the
+            coordinator pings once a silence exceeds one interval, and
+            a session silent past 1.5× the interval is torn down
             (:class:`WorkerUnresponsiveError`) with its chunks
             requeued — so a hung-but-connected worker (SIGSTOP, wedged
             VM) is detected within 2× the interval instead of hanging
@@ -773,7 +726,6 @@ class RemoteExecutor(TaskExecutor):
         capacity_aware: bool = True,
         secret=None,
         ssl_context: ssl.SSLContext | None = None,
-        wire_version: int | None = None,
         transport: str = "auto",
         shm_slot_bytes: int = 16 << 20,
         heartbeat_interval: float | None = 15.0,
@@ -800,13 +752,6 @@ class RemoteExecutor(TaskExecutor):
         self.capacity_aware = capacity_aware
         self.secret = normalize_secret(secret)
         self.ssl_context = ssl_context
-        if wire_version not in (None, CODEC_PROTOCOL_VERSION - 1,
-                                CODEC_PROTOCOL_VERSION):
-            raise ValueError(
-                f"wire_version must be None, "
-                f"{CODEC_PROTOCOL_VERSION - 1} or "
-                f"{CODEC_PROTOCOL_VERSION}, got {wire_version!r}"
-            )
         if transport not in ("auto", "shm", "socket"):
             raise ValueError(
                 f"transport must be 'auto', 'shm' or 'socket', got "
@@ -816,7 +761,6 @@ class RemoteExecutor(TaskExecutor):
             raise ValueError(
                 f"shm_slot_bytes must be positive, got {shm_slot_bytes}"
             )
-        self.wire_version = wire_version
         self.transport = transport
         self.shm_slot_bytes = shm_slot_bytes
         if heartbeat_interval is not None and heartbeat_interval <= 0:
@@ -866,50 +810,22 @@ class RemoteExecutor(TaskExecutor):
     def map_chunks(self, context, chunks):
         if not chunks:
             return
+        # Encode before launching or connecting anything: a sweep the
+        # codec cannot carry fails here with the field-naming error.
+        wire = _SweepWire(
+            encode_context(context),
+            [encode_tasks(chunk) for chunk in chunks],
+        )
         if self.launcher is None:
-            yield from self._run_sweep(self.endpoints, context, chunks)
+            yield from self._run_sweep(self.endpoints, wire, context, chunks)
             return
         specs = self.launcher.launch()
         try:
-            yield from self._run_sweep(specs, context, chunks)
+            yield from self._run_sweep(specs, wire, context, chunks)
         finally:
             self.launcher.shutdown()
 
-    def _build_wire(self, context, chunks) -> _SweepWire:
-        """Choose the sweep's offered wire generation and encode for it.
-
-        Offering v4 requires the whole sweep to be expressible in the
-        codec (context *and* every chunk): a payload the codec rejects
-        downgrades the offer to v3 up front — never mid-sweep, so a
-        fleet can't end up split across generations by accident — unless
-        ``wire_version=4`` pinned the codec wire, in which case the
-        :class:`~repro.eval.dist.codec.CodecError` propagates.
-        """
-        offer = (
-            PROTOCOL_VERSION
-            if self.wire_version is None
-            else self.wire_version
-        )
-        context_v4 = None
-        encodings = None
-        if offer >= CODEC_PROTOCOL_VERSION:
-            try:
-                context_v4 = encode_context(context)
-                encodings = _ChunkEncodings(chunks, with_v4=True)
-            except CodecError:
-                if self.wire_version is not None:
-                    raise
-                offer = CODEC_PROTOCOL_VERSION - 1
-                context_v4 = None
-        if encodings is None:
-            encodings = _ChunkEncodings(chunks, with_v4=False)
-        init_payload = pickle.dumps(
-            context, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        return _SweepWire(offer, init_payload, context_v4, encodings)
-
-    def _run_sweep(self, specs, context, chunks):
-        wire = self._build_wire(context, chunks)
+    def _run_sweep(self, specs, wire, context, chunks):
         board = ChunkBoard(len(chunks), self.max_attempts)
         stats = SweepStats(workers=len(specs))
         self.last_sweep_stats = stats
@@ -974,12 +890,10 @@ class RemoteExecutor(TaskExecutor):
             with socket_lock:
                 # Unblock any thread still parked in recv (e.g. the
                 # original owner of a chunk a speculative duplicate
-                # already settled).
+                # already settled).  Each session thread closes its own
+                # socket, after its ``end`` frame is fully sent.
                 for sock in sockets.values():
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
+                    _wake_reader(sock)
             for thread in threads:
                 thread.join(timeout=5.0)
 
@@ -1054,7 +968,7 @@ class RemoteExecutor(TaskExecutor):
             ) from failures[0][1]
 
     # -- per-worker session thread -------------------------------------
-    def _offer_shm(self, sock, spec, wire, capacity, *, checksum=False):
+    def _offer_shm(self, sock, spec, wire, capacity):
         """Create and offer this session's shm rings where they apply.
 
         Returns ``(chunk_ring, result_ring)``, or ``(None, None)``
@@ -1062,9 +976,7 @@ class RemoteExecutor(TaskExecutor):
         says so, the worker is not on this host (``"auto"``), the rings
         cannot be created (e.g. ``/dev/shm`` exhausted), or the worker
         nacks the attach (e.g. a loopback-looking endpoint that is
-        really an SSH tunnel).  ``checksum`` selects the CRC32 slot
-        layout — only offered to workers advertising the ``shm-crc``
-        feature, so pre-checksum peers keep the plain geometry.
+        really an SSH tunnel).  Rings use the CRC32 slot layout.
         """
         if self.transport == "socket":
             return None, None
@@ -1083,11 +995,11 @@ class RemoteExecutor(TaskExecutor):
             # protocol in that direction.
             chunk_ring = create_ring(
                 capacity + 1,
-                max(1, wire.encodings.max_v4_size),
-                checksum=checksum,
+                max(1, max(len(data) for data in wire.chunks)),
+                checksum=True,
             )
             result_ring = create_ring(
-                capacity + 2, self.shm_slot_bytes, checksum=checksum
+                capacity + 2, self.shm_slot_bytes, checksum=True
             )
         except ShmError:
             if chunk_ring is not None:
@@ -1113,17 +1025,17 @@ class RemoteExecutor(TaskExecutor):
             )
         return None, None
 
-    def _open_session(self, spec: HostSpec, wire: _SweepWire) -> _Session:
+    def _open_session(self, spec: HostSpec) -> _Session:
         """Connect and handshake one worker session (no chunks yet).
 
-        Raises with both sockets closed on any failure; the caller
+        Raises with the socket closed on any failure; the caller
         classifies the exception and decides whether another attempt
-        (fresh socket, backoff) is worthwhile.
+        (fresh socket, backoff) is worthwhile.  (A TLS wrap detaches
+        the plain socket, so ``sock`` is always the one to close.)
         """
         sock = socket.create_connection(
             spec.endpoint, timeout=self.connect_timeout
         )
-        raw_sock = sock
         try:
             _enable_keepalive(sock)
             disable_nagle(sock)
@@ -1147,102 +1059,39 @@ class RemoteExecutor(TaskExecutor):
                         f"failed ({exc}); is the worker serving TLS "
                         f"with a certificate the configured CA signs?"
                     ) from exc
-            authenticated_version = None
             if self.secret is not None:
                 # Prove the secret both ways before any sweep payload
-                # leaves this process; nothing the worker sends before
-                # its own proof is ever deserialized here.
-                authenticated_version = client_handshake(
-                    sock, self.secret, protocol_max=wire.offer
-                )
-            session_v4 = False
-            if (
-                authenticated_version is not None
-                and authenticated_version >= CODEC_PROTOCOL_VERSION
-            ):
-                # The handshake bound a pickle-free version for both
-                # sides, so the legacy init frame (whose payload exists
-                # only for pre-v4 workers) is skipped entirely: the
-                # worker's v4 ready frame comes first.
-                header, _ = recv_json_message(sock)
-                session_v4 = True
+                # leaves this process; the handshake binds the wire
+                # version, so no init frame follows it.
+                client_handshake(sock, self.secret)
             else:
-                send_message(
-                    sock,
-                    {
-                        "type": "init",
-                        "protocol": PROTOCOL_BASE_VERSION,
-                        "protocol_max": wire.offer,
-                    },
-                    wire.init_payload,
+                send_json_message(
+                    sock, {"type": "init", "protocol": PROTOCOL_VERSION}
                 )
-                magic = read_magic(sock)
-                if magic == MAGIC_V4:
-                    # A v4-capable worker answers the legacy init with
-                    # a v4-framed ready (discarding the pickled payload
-                    # unparsed); the reply's magic is what moves the
-                    # session onto the new wire.
-                    header, _ = recv_json_message(
-                        sock, preread_magic=magic
-                    )
-                    session_v4 = True
-                else:
-                    header, _ = recv_message(sock, preread_magic=magic)
-            if header.get("type") == "error" and header.get("error") in (
-                "auth-required",
-                "tls-required",
-            ):
-                # A secured worker refusing our plain session (no
-                # secret, or no TLS): surface operator guidance, fail
-                # closed.
+            header, _ = recv_json_message(sock)
+            if header["type"] == "error":
+                # The worker refused the session: a secured worker
+                # refusing our plain one (no secret, or no TLS) is a
+                # security misconfiguration and fails closed; anything
+                # else is a wire mismatch.
                 refusal = header.get("error")
-                exc_type = (
-                    AuthError
-                    if refusal == "auth-required"
-                    else TlsMismatchError
-                )
+                exc_type = {
+                    "auth-required": AuthError,
+                    "tls-required": TlsMismatchError,
+                }.get(refusal, ProtocolError)
                 raise exc_type(
-                    f"worker {spec.address} refused the connection: "
+                    f"worker {spec.address} refused the session: "
                     f"{header.get('message', refusal)}"
                 )
-            version = header.get("protocol")
             if (
-                header.get("type") != "ready"
-                or not isinstance(version, int)
-                or not (PROTOCOL_BASE_VERSION <= version <= wire.offer)
+                header["type"] != "ready"
+                or header.get("protocol") != PROTOCOL_VERSION
             ):
                 raise ProtocolError(
                     f"bad handshake from {spec.address}: {header}"
                 )
-            if session_v4 != (version >= CODEC_PROTOCOL_VERSION):
-                raise ProtocolError(
-                    f"worker {spec.address} framed its ready frame for "
-                    f"the wrong wire generation (protocol {version})"
-                )
-            if (
-                self.wire_version is not None
-                and version < self.wire_version
-            ):
-                raise ProtocolError(
-                    f"worker {spec.address} only speaks protocol "
-                    f"{version} but wire_version={self.wire_version} "
-                    f"was pinned"
-                )
-            if (
-                authenticated_version is not None
-                and version != authenticated_version
-            ):
-                raise ProtocolError(
-                    f"worker {spec.address} negotiated version "
-                    f"{version} but the authenticated handshake bound "
-                    f"version {authenticated_version}; refusing the "
-                    f"downgrade"
-                )
             capacity = 1
-            if (
-                self.capacity_aware
-                and version >= CAPACITY_PROTOCOL_VERSION
-            ):
+            if self.capacity_aware:
                 try:
                     capacity = max(1, int(header.get("capacity", 1)))
                 except (TypeError, ValueError):
@@ -1250,24 +1099,13 @@ class RemoteExecutor(TaskExecutor):
                         f"bad capacity in ready frame from "
                         f"{spec.address}: {header.get('capacity')!r}"
                     ) from None
-            features = header.get("features")
-            if not isinstance(features, (list, tuple)):
-                features = ()
             sock.settimeout(self.io_timeout)
-            return _Session(
-                sock,
-                raw_sock,
-                version,
-                session_v4,
-                capacity,
-                tuple(str(feature) for feature in features),
-            )
+            return _Session(sock, capacity)
         except BaseException:
-            for stale in (sock, raw_sock):
-                try:
-                    stale.close()
-                except OSError:
-                    pass
+            try:
+                sock.close()
+            except OSError:
+                pass
             raise
 
     def _worker_loop(
@@ -1288,7 +1126,7 @@ class RemoteExecutor(TaskExecutor):
         while session is None:
             attempt += 1
             try:
-                session = self._open_session(spec, wire)
+                session = self._open_session(spec)
             except Exception as exc:
                 # Security refusals (wrong secret, TLS mismatch) and
                 # deterministic protocol errors refuse identically on
@@ -1319,47 +1157,29 @@ class RemoteExecutor(TaskExecutor):
                 return
         stats.count("sessions")
         sock = session.sock
-        raw_sock = session.raw_sock
-        version = session.version
-        session_v4 = session.session_v4
         capacity = session.capacity
-        # Liveness is negotiated per session: armed only when this
-        # executor wants it *and* the worker advertised the heartbeat
-        # feature, so mixed fleets with pre-heartbeat workers keep
-        # working (those sessions just keep the old blocking recv).
-        heartbeat = None
-        if (
-            session_v4
-            and self.heartbeat_interval is not None
-            and "heartbeat" in session.features
-        ):
-            heartbeat = float(self.heartbeat_interval)
+        heartbeat = (
+            None
+            if self.heartbeat_interval is None
+            else float(self.heartbeat_interval)
+        )
         inflight: set[int] = set()
         sent_at: dict[int, float] = {}
         chunk_ring = None
         result_ring = None
         try:
-            if session_v4:
-                # Uniform v4 order regardless of entry path: worker
-                # ready (just parsed) → coordinator context → chunks.
-                # The protocol echo lets the worker cross-check the
-                # negotiated version against what its handshake bound.
-                context_frame = {"type": "context", "protocol": version}
-                if heartbeat is not None:
-                    # Arms the worker's unsolicited heartbeat sender; a
-                    # worker that never sees this key never beats, and
-                    # pre-heartbeat coordinators never send it.
-                    context_frame["heartbeat"] = heartbeat
-                send_json_message(sock, context_frame, wire.context_v4)
-                chunk_ring, result_ring = self._offer_shm(
-                    sock,
-                    spec,
-                    wire,
-                    capacity,
-                    checksum="shm-crc" in session.features,
-                )
-                if result_ring is not None:
-                    stats.count("shm_sessions")
+            # Worker ready (just parsed) → coordinator context → chunks.
+            context_frame = {"type": "context"}
+            if heartbeat is not None:
+                # Arms the worker's unsolicited heartbeat sender; a
+                # worker that never sees this key never beats.
+                context_frame["heartbeat"] = heartbeat
+            send_json_message(sock, context_frame, wire.context)
+            chunk_ring, result_ring = self._offer_shm(
+                sock, spec, wire, capacity
+            )
+            if result_ring is not None:
+                stats.count("shm_sessions")
             with socket_lock:
                 sockets[worker_id] = sock
 
@@ -1372,12 +1192,7 @@ class RemoteExecutor(TaskExecutor):
             pending_acks: list[int] = []
 
             def _send_chunk(chunk: int) -> None:
-                payload = wire.encodings.get(version, chunk)
-                if not session_v4:
-                    send_message(
-                        sock, {"type": "chunk", "chunk": chunk}, payload
-                    )
-                    return
+                payload = wire.chunks[chunk]
                 frame = {"type": "chunk", "chunk": chunk}
                 if pending_acks:
                     # Piggyback result-ring acknowledgements on the
@@ -1446,18 +1261,10 @@ class RemoteExecutor(TaskExecutor):
 
             def _recv_frame():
                 if heartbeat is None and self.chunk_deadline is None:
-                    return (
-                        recv_json_message(sock)
-                        if session_v4
-                        else recv_message(sock)
-                    )
+                    return recv_json_message(sock)
                 while True:
                     if _wait_readable(sock, tick):
-                        header, payload = (
-                            recv_json_message(sock)
-                            if session_v4
-                            else recv_message(sock)
-                        )
+                        header, payload = recv_json_message(sock)
                         last_rx[0] = time.monotonic()
                         if header.get("type") == "pong":
                             continue  # liveness only; not a result
@@ -1524,15 +1331,12 @@ class RemoteExecutor(TaskExecutor):
                     sent_at[chunk] = time.monotonic()
                     _send_chunk(chunk)
                 if not inflight:
+                    end = {"type": "end"}
+                    if pending_acks:
+                        end["ack"] = pending_acks.copy()
+                        pending_acks.clear()
                     try:
-                        if session_v4:
-                            end = {"type": "end"}
-                            if pending_acks:
-                                end["ack"] = pending_acks.copy()
-                                pending_acks.clear()
-                            send_json_message(sock, end)
-                        else:
-                            send_message(sock, {"type": "end"})
+                        send_json_message(sock, end)
                     except (OSError, ProtocolError):
                         pass
                     return
@@ -1578,7 +1382,7 @@ class RemoteExecutor(TaskExecutor):
                     )
         except Exception as exc:
             # Any escape — transport errors, torn frames, but also
-            # malformed headers from a version-skewed worker — must
+            # malformed headers from a misbehaving worker — must
             # requeue the in-flight chunks and report the worker down;
             # a silently dead thread would leave claimers blocked and
             # hang the sweep.
@@ -1592,11 +1396,10 @@ class RemoteExecutor(TaskExecutor):
             board.worker_stopped()
             with socket_lock:
                 sockets.pop(worker_id, None)
-            for stale in (sock, raw_sock):
-                try:
-                    stale.close()
-                except OSError:
-                    pass
+            try:
+                sock.close()
+            except OSError:
+                pass
             # This side created the rings, so this side unlinks them —
             # on every exit path, success or torn session.
             for ring in (chunk_ring, result_ring):

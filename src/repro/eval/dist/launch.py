@@ -484,7 +484,7 @@ class LocalLauncher(WorkerLauncher):
         startup_timeout: Seconds allowed for all workers to announce
             readiness.
 
-    The fleet runs on this host (``same_host = True``), so a v4-capable
+    The fleet runs on this host (``same_host = True``), so a
     coordinator with ``transport="auto"`` moves chunk/result payloads
     through shared memory instead of the loopback socket.
     """
@@ -602,8 +602,8 @@ class SshLauncher(WorkerLauncher):
         remote_command: How to run the CLI on the remote host.
         bind: Interface the remote worker binds (default all — the
             coordinator connects over the network; keep it a private
-            one, or secure the wire with ``secret``/TLS: the protocol
-            carries pickles).
+            one, or secure the wire with ``secret``/TLS: an unsecured
+            worker runs sweeps for anyone who connects).
         cache_dir: Optional *remote* trial-cache root (a shared
             filesystem path) passed to every worker.
         secret: Shared secret delivered as the first line of the SSH

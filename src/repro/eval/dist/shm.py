@@ -1,11 +1,11 @@
-"""Shared-memory data plane for same-host protocol-v4 sessions.
+"""Shared-memory data plane for same-host sweep sessions.
 
 When the coordinator and a worker share a machine — loopback endpoints
 and every ``LocalLauncher`` autolaunch — the socket still carries every
 chunk and result payload through two kernel copies that the data never
 needed.  This module moves the *data plane* into
 :mod:`multiprocessing.shared_memory` segments while the *control plane*
-(frames, negotiation, authentication) stays on the socket: a v4 chunk
+(frames, handshake, authentication) stays on the socket: a chunk
 or result frame then carries a tiny ``{"slot": n, "size": k}``
 reference instead of the payload bytes.
 
@@ -67,10 +67,8 @@ SHM_PREFIX = "repro-dist-"
 #: Each slot is prefixed with a CRC32 of its payload, so a corrupted or
 #: torn slot read becomes a detected :class:`ShmError` — and therefore a
 #: retriable session failure — instead of silently wrong results.  The
-#: layout is negotiated: coordinators only create checksummed rings for
-#: workers that advertise the ``shm-crc`` feature, and a plain ring
-#: (no ``layout`` key) keeps the exact pre-checksum geometry, so rolling
-#: upgrades interoperate in both directions.
+#: coordinator creates every session ring with this layout; a plain ring
+#: (no ``layout`` key) is :func:`create_ring`'s default geometry.
 CRC_LAYOUT = "crc32"
 
 #: Per-slot checksum prefix: CRC32 of the slot's payload bytes.
@@ -131,7 +129,7 @@ class ShmRing:
         self.slot_size = slot_size
         self.checksum = checksum
         # ``slot_size`` is always the usable payload capacity; the
-        # checksum prefix extends the physical stride so negotiating the
+        # checksum prefix extends the physical stride so choosing the
         # layout never shrinks what a slot can carry.
         self._stride = slot_size + (_SLOT_CRC.size if checksum else 0)
         self._owner = owner

@@ -1,34 +1,36 @@
 """Worker side of the distributed sweep backend.
 
 A :class:`WorkerServer` listens on one TCP port and serves coordinator
-sessions: each accepted connection is one sweep session.  The
-coordinator ships the (instance, config, options) triple exactly once
-per session; every subsequent ``chunk`` frame carries a list of
+sessions: each accepted connection is one sweep session.  The session
+opens with the shared-secret handshake (:mod:`repro.eval.dist.auth`)
+when the worker has a secret, or with one JSON ``init`` frame naming
+:data:`repro.eval.dist.protocol.PROTOCOL_VERSION` when it has none; the
+worker answers ``ready`` (advertising its capacity), and the
+coordinator ships the (instance, config, options) context exactly once
+as a canonical-JSON ``context`` frame (:mod:`repro.eval.dist.codec`).
+Every subsequent ``chunk`` frame carries codec'd
 :class:`repro.eval.parallel.ScenarioTask` records, and the worker
 answers with the chunk's error vectors as one packed float64 payload
-(the same transport the in-host pool uses).
+(the same transport the in-host pool uses).  Any other opening — a
+frame of another wire generation, another version, garbage — gets one
+JSON ``error`` refusal naming the version, and nothing the peer sent
+is parsed.
 
-Wire generations: sessions that negotiate protocol v4
-(:data:`repro.eval.dist.protocol.CODEC_PROTOCOL_VERSION`) are
-pickle-free — the context arrives as a canonical-JSON frame and chunks
-as fixed-width struct records (:mod:`repro.eval.dist.codec`), framed by
-:func:`repro.eval.dist.protocol.recv_json_message`.  v1–v3 sessions
-keep the legacy pickled frames end to end.  A v4 session may
-additionally move its chunk and result payloads through same-host
+A session may move its chunk and result payloads through same-host
 shared-memory rings (:mod:`repro.eval.dist.shm`): the coordinator
 offers the rings in a ``shm`` frame, the worker attaches (or nacks back
 to inline socket payloads), and from then on data-plane frames carry
 ``slot``/``size`` references instead of bytes.
 
-Capacity: the handshake negotiates a protocol version
-(:func:`repro.eval.dist.protocol.negotiate_version`); at version 2 the
-``ready`` frame advertises the worker's *capacity* — how many chunks it
-can compute at once (``repro-tomography worker`` defaults to the CPU
-count; ``--capacity`` overrides).  A capacity-``C`` session executes up
-to ``C`` in-flight chunks concurrently on a process pool (results may
-return out of order; the coordinator keys them by chunk index), while a
-version-1 coordinator — which never pipelines — gets the strict
-sequential request/response loop regardless of capacity.
+Capacity: the ``ready`` frame advertises the worker's *capacity* — how
+many chunks it can compute at once (``repro-tomography worker``
+defaults to the CPU count; ``--capacity`` overrides).  Every session
+runs one chunk loop: the session thread receives frames and submits
+each chunk, and one completion callback ships its result.  A
+capacity-``C`` session submits to a process pool of ``C`` (results may
+return out of order; the coordinator keys them by chunk index); at
+capacity 1 the chunk computes inline, in the session thread, through
+the same submit/callback path — no pool process is spawned.
 
 Cache semantics: when the worker is given a cache directory (its own
 ``--cache-dir`` flag or ``REPRO_CACHE_DIR``; typically a store shared
@@ -61,14 +63,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import signal
 import socket
 import ssl
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.eval.dist.auth import (
@@ -78,108 +79,81 @@ from repro.eval.dist.auth import (
     server_handshake,
 )
 from repro.eval.dist.codec import decode_context, decode_tasks
+from repro.eval.dist.faults import active_plan
 from repro.eval.dist.protocol import (
-    CAPACITY_PROTOCOL_VERSION,
-    CODEC_PROTOCOL_VERSION,
-    MAGIC_V4,
+    MAGIC,
     PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
-    _FRAME_REST,
-    _recv_exact,
-    bad_magic_error,
     buffer_payload,
     disable_nagle,
-    negotiate_version,
     read_magic,
     recv_json_message,
-    recv_message,
     send_json_message,
-    send_message,
 )
-from repro.eval.dist.protocol import MAGIC as FRAME_MAGIC
-from repro.eval.dist.faults import active_plan
 from repro.eval.dist.shm import ShmError, attach_ring
 from repro.eval.parallel import _execute_task, _pack_error_dicts
-from repro.io import instance_fingerprint
 
 __all__ = ["WorkerServer"]
 
 
 # Pool-process state installed once by the initializer: each process
 # opens its own cache handle so write-back happens task-by-task inside
-# the process that computed the task, exactly like the sequential path.
+# the process that computed the task, exactly like the inline path.
 _POOL_STATE: tuple | None = None
 
 
-#: How many frame bytes a refusal will read-and-discard so its error
-#: message survives.  Closing a socket with unread inbound data sends
-#: RST, which can destroy the refusal frame mid-flight — so the worker
-#: drains (never parses) the refused frame first.  A peer whose frame
-#: exceeds the cap still fails closed; it just gets a reset instead of
-#: the message.
-_REFUSAL_DRAIN_CAP = 256 * 1024 * 1024
+#: How long a refusal keeps reading (and discarding) what the refused
+#: peer sends before hanging up.  Closing a socket with unread inbound
+#: data sends RST, which can destroy the refusal frame mid-flight — so
+#: the worker drains the peer's bytes until it hangs up, never parsing
+#: them.  A peer that keeps talking past the budget still fails closed;
+#: it just gets a reset instead of the message.
+_REFUSAL_DRAIN_SECONDS = 2.0
 
 
-def _drain_refused_frame(connection, magic: bytes) -> None:
-    """Consume — never parse — the frame a refused peer already sent.
-
-    Only the plain-integer length fields are interpreted; header and
-    payload bytes go straight to the bit bucket, so nothing a rejected
-    peer sends is ever unpickled.
-    """
+def _drain_refused_peer(connection) -> None:
+    """Read and discard — never parse — what a refused peer sends."""
+    deadline = time.monotonic() + _REFUSAL_DRAIN_SECONDS
     try:
-        if magic in (FRAME_MAGIC, MAGIC_V4):
-            header_len, payload_len = _FRAME_REST.unpack(
-                _recv_exact(
-                    connection, _FRAME_REST.size, at_boundary=False
-                )
-            )
-            pending = header_len + payload_len
-        elif magic == AUTH_MAGIC:
-            # kind (u8) | body length (u32): auth bodies are tiny.
-            rest = _recv_exact(connection, 5, at_boundary=False)
-            pending = int.from_bytes(rest[1:], "big")
-        else:
-            return
-        pending = min(pending, _REFUSAL_DRAIN_CAP)
-        while pending:
-            piece = connection.recv(min(1 << 16, pending))
-            if not piece:
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 return
-            pending -= len(piece)
-    except (OSError, ProtocolError):
+            connection.settimeout(remaining)
+            if not connection.recv(1 << 16):
+                return
+    except (OSError, ValueError):
         pass
 
 
-def _pool_initializer(
-    instance, config, options, cache_dir, throttle, fingerprint=None
-) -> None:
-    # v4 sessions pass the coordinator's shipped fingerprint so remote
-    # cache keys are byte-for-byte the keys the coordinator would
-    # compute; legacy sessions derive it from the unpickled instance.
-    global _POOL_STATE
+def _chunk_state(instance, config, options, cache_dir, throttle,
+                 fingerprint):
+    """Everything a chunk computation needs besides its tasks."""
     cache = None
     if cache_dir is not None:
         from repro.eval.cache import TrialCache
 
         cache = TrialCache(cache_dir)
-        if fingerprint is None:
-            fingerprint = instance_fingerprint(instance)
-    _POOL_STATE = (instance, config, options, cache, fingerprint, throttle)
+    return (instance, config, options, cache, fingerprint, throttle)
 
 
-def _run_chunk_tasks(
-    tasks, instance, config, options, cache, fingerprint, throttle
-):
-    """Execute one chunk's tasks (cache-aware, throttle-aware), packed.
+def _pool_initializer(*args) -> None:
+    global _POOL_STATE
+    _POOL_STATE = _chunk_state(*args)
 
-    The single definition of per-task semantics — the sequential
-    session path and the pool path must never diverge on e.g. where
-    the throttle sleeps relative to the cache lookup.
+
+def _run_chunk(state, payload: bytes):
+    """Decode and execute one chunk (cache-aware, throttle-aware), packed.
+
+    The single definition of per-chunk semantics, whether it runs in
+    the session thread or in a pool child.  The codec'd task records
+    are decoded here, where they compute, so the session thread stays
+    a pure frame pump.
     """
+    instance, config, options, cache, fingerprint, throttle = state
     results = []
-    for task in tasks:
+    for task in decode_tasks(payload):
         if throttle:
             time.sleep(throttle)
         results.append(
@@ -191,33 +165,25 @@ def _run_chunk_tasks(
 
 
 def _pool_run_chunk(payload: bytes):
-    # The chunk's task list crosses the pool boundary as the raw frame
-    # payload and is unpickled here, in the child — unpickling in the
-    # session thread would just re-pickle the tasks for the submit.
-    tasks = pickle.loads(payload)
-    instance, config, options, cache, fingerprint, throttle = _POOL_STATE
-    return _run_chunk_tasks(
-        tasks, instance, config, options, cache, fingerprint, throttle
-    )
+    return _run_chunk(_POOL_STATE, payload)
 
 
-def _pool_run_chunk_v4(payload: bytes):
-    # v4 twin of :func:`_pool_run_chunk`: the payload is struct-codec
-    # task records, decoded in the child so the session thread stays a
-    # pure frame pump (and never touches pickle for wire data).
-    tasks = decode_tasks(payload)
-    instance, config, options, cache, fingerprint, throttle = _POOL_STATE
-    return _run_chunk_tasks(
-        tasks, instance, config, options, cache, fingerprint, throttle
-    )
+class _InlineExecutor(Executor):
+    """Capacity 1: run each chunk in the submitting (session) thread.
 
+    The returned future is already done, so the completion callback
+    fires inside ``add_done_callback`` — the same result path the pool
+    uses, without spawning a child that would pay the full package
+    import per session.
+    """
 
-#: Optional capabilities this worker advertises in its v4 ``ready``
-#: frame.  Unknown-key tolerance makes the list forward-compatible:
-#: old coordinators ignore it, new coordinators only use what both
-#: sides understand (``heartbeat`` liveness pongs, CRC32-checksummed
-#: shm slots).
-WORKER_FEATURES = ("heartbeat", "shm-crc")
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 class _HeartbeatSender:
@@ -225,7 +191,7 @@ class _HeartbeatSender:
 
     Armed when the coordinator's context frame carries a ``heartbeat``
     key: a daemon thread sends ``{"type": "pong"}`` frames every
-    ``interval / 2`` under the session's send lock, so the coordinator
+    ``interval / 2`` through the session's transport, so the coordinator
     observes traffic at least twice per interval from a healthy worker
     no matter how long a chunk computes.  A worker that is stopped
     (SIGSTOP), swapped to death, or wedged in a non-Python stall stops
@@ -237,9 +203,8 @@ class _HeartbeatSender:
     thread quietly; the serve loop notices the dead session on its own.
     """
 
-    def __init__(self, connection, send_lock, interval, log) -> None:
-        self._connection = connection
-        self._send_lock = send_lock
+    def __init__(self, transport, interval, log) -> None:
+        self._transport = transport
         self._interval = float(interval)
         self._log = log
         self._stop = threading.Event()
@@ -261,10 +226,7 @@ class _HeartbeatSender:
                 continue
             beat += 1
             try:
-                with self._send_lock:
-                    send_json_message(
-                        self._connection, {"type": "pong", "beat": beat}
-                    )
+                self._transport.send({"type": "pong", "beat": beat})
             except (OSError, ProtocolError):
                 return  # session is gone; the serve loop handles it
 
@@ -280,8 +242,8 @@ class _HeartbeatSender:
         self._stop.set()
 
 
-class _V4Transport:
-    """One v4 session's data plane: inline socket bytes, or shm rings.
+class _Transport:
+    """One session's data plane: inline socket bytes, or shm rings.
 
     Starts inline; an accepted ``shm`` frame attaches the
     coordinator-created rings, after which chunk payloads are read from
@@ -293,14 +255,12 @@ class _V4Transport:
     chunk/end frames.
     """
 
-    def __init__(self, connection, send_lock=None) -> None:
-        self._connection = connection
+    def __init__(self, connection) -> None:
+        self.connection = connection
         # All session sends — results, errors, control replies, and the
         # heartbeat sender's pongs — serialize on this one lock so
         # frames never interleave on the socket.
-        self._send_lock = (
-            send_lock if send_lock is not None else threading.Lock()
-        )
+        self._send_lock = threading.Lock()
         self._chunk_ring = None
         self._result_ring = None
         self._free_slots: list[int] = []
@@ -354,9 +314,8 @@ class _V4Transport:
         """The chunk's encoded tasks, wherever the frame put them.
 
         Shm slots are copied out immediately: the coordinator reuses a
-        chunk slot as soon as this chunk is answered, and the
-        concurrent path answers from pool callbacks long after this
-        read.
+        chunk slot as soon as this chunk is answered, and a pooled
+        chunk is answered from a pool callback long after this read.
         """
         if "slot" not in header:
             return payload
@@ -376,7 +335,7 @@ class _V4Transport:
     def send(self, header: dict, payload: bytes = b"") -> None:
         """Send one control frame under the session's send lock."""
         with self._send_lock:
-            send_json_message(self._connection, header, payload)
+            send_json_message(self.connection, header, payload)
 
     def send_result(self, header: dict, buffer) -> None:
         """Ship one result: via a free shm slot if it fits, else inline.
@@ -420,12 +379,12 @@ class WorkerServer:
     """Serve sweep sessions on ``host:port`` (``port=0`` → ephemeral).
 
     Parameters:
-        capacity: Parallel chunk slots advertised to version-2
-            coordinators; sessions with ``capacity > 1`` execute their
-            in-flight chunks on a process pool of that size.  Defaults
-            to 1 (the sequential version-1 behaviour); the CLI worker
-            defaults to the CPU count instead.  The pool (and the
-            advertisement) is per *session*: a worker shared by two
+        capacity: Parallel chunk slots advertised to coordinators;
+            sessions with ``capacity > 1`` execute their in-flight
+            chunks on a process pool of that size, capacity 1 computes
+            them inline in the session thread.  Defaults to 1; the CLI
+            worker defaults to the CPU count instead.  The pool (and
+            the advertisement) is per *session*: a worker shared by two
             overlapping sweeps runs up to ``2 × capacity`` compute
             processes, so size ``--capacity`` for the share of the
             host each concurrent sweep should get on shared-fleet
@@ -442,31 +401,19 @@ class WorkerServer:
             before each task (a simulated slower host; results are
             delayed, never changed).
         secret: Shared secret (str or bytes).  When set, every session
-            must complete the v3 HMAC handshake
+            must complete the HMAC handshake
             (:func:`repro.eval.dist.auth.server_handshake`) before the
-            worker reads — let alone unpickles — any payload frame;
-            v1/v2 and unauthenticated peers are refused at the magic
-            bytes.  ``None`` keeps the historical trust-the-network
-            behaviour.
+            worker reads any session frame; unauthenticated peers are
+            refused at the magic bytes.  ``None`` keeps the
+            trust-the-network behaviour.
         ssl_context: Optional server-side :class:`ssl.SSLContext`
             (see :func:`repro.eval.dist.certs.server_context`); every
             accepted connection is TLS-wrapped before any frame is
-            read, and a plaintext peer is dropped at the TLS handshake.
+            read, and a plaintext peer is refused with one error frame.
         handshake_timeout: Seconds a new connection gets to finish
             TLS + auth + ``init``; a half-open or stalling peer is
             dropped instead of pinning a session thread forever.
-        protocol_max: Highest protocol version this worker will
-            negotiate (clamped to the library's
-            :data:`repro.eval.dist.protocol.PROTOCOL_VERSION`).
-            ``protocol_max=3`` makes a current worker behave exactly
-            like a pre-v4 deployment — the mixed-fleet tests and the
-            benchmark's wire-generation baselines are built on it.
         log: Callable for one-line status messages (``None`` = silent).
-
-    Attributes:
-        negotiated_versions: Protocol version of each served session,
-            in acceptance order (diagnostic; the interop tests assert
-            mixed fleets really split across wire generations).
     """
 
     def __init__(
@@ -482,7 +429,6 @@ class WorkerServer:
         secret=None,
         ssl_context: ssl.SSLContext | None = None,
         handshake_timeout: float = 30.0,
-        protocol_max: int | None = None,
         log=None,
     ) -> None:
         if capacity < 1:
@@ -494,10 +440,6 @@ class WorkerServer:
                 f"handshake_timeout must be positive, got "
                 f"{handshake_timeout}"
             )
-        if protocol_max is not None and protocol_max < 1:
-            raise ValueError(
-                f"protocol_max must be >= 1, got {protocol_max}"
-            )
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self.capacity = capacity
@@ -508,14 +450,8 @@ class WorkerServer:
         self._secret = normalize_secret(secret)
         self._ssl_context = ssl_context
         self._handshake_timeout = handshake_timeout
-        self._protocol_max = (
-            PROTOCOL_VERSION
-            if protocol_max is None
-            else min(PROTOCOL_VERSION, protocol_max)
-        )
         self._log = log or (lambda message: None)
         self._closed = False
-        self.negotiated_versions: list[int] = []
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -585,35 +521,34 @@ class WorkerServer:
             self.close()
         return sessions
 
-    def _refuse_plaintext(self, raw: socket.socket) -> None:
-        """Tell a plaintext peer it hit a TLS listener, then hang up.
+    def _refuse(self, connection, error: str, message: str) -> None:
+        """Send the one refusal frame, then hang up.
 
-        Sent *instead of* attempting the TLS accept (which would
-        consume the peer's frame as a garbled ClientHello and close
-        without a word), so the coordinator can render a configuration
-        error rather than a bare connection reset.
+        The refusal names the wire version and is followed by end of
+        stream, so the peer reads exactly one frame.  Nothing the peer
+        sent is parsed — its bytes are drained only so the hang-up does
+        not reset the refusal in flight.  The session thread closes the
+        socket when this returns.
         """
         try:
-            send_message(
-                raw,
+            send_json_message(
+                connection,
                 {
                     "type": "error",
-                    "error": "tls-required",
+                    "error": error,
+                    "protocol": PROTOCOL_VERSION,
                     "chunk": None,
-                    "message": (
-                        "this worker serves TLS; configure --tls-ca "
-                        "(and --tls-cert/--tls-key for mutual TLS) on "
-                        "the coordinator"
-                    ),
+                    "message": message,
                     "traceback": "",
                 },
             )
+            # The base-class call keeps a TLS session's state intact
+            # for the drain below (``SSLSocket.shutdown`` drops it).
+            socket.socket.shutdown(connection, socket.SHUT_WR)
         except OSError:
             pass
-        self._log(
-            "refused plaintext session on the TLS listener; no payload "
-            "was read"
-        )
+        _drain_refused_peer(connection)
+        self._log(f"refused session ({error}); no payload was read")
 
     def _session_thread(self, raw: socket.socket) -> None:
         disable_nagle(raw)
@@ -647,17 +582,20 @@ class WorkerServer:
                 # session switches to blocking mode once it is up.
                 raw.settimeout(self._handshake_timeout)
                 if self._ssl_context is not None:
-                    # Sniff (without consuming) the first bytes: our
-                    # own plaintext magics mean a peer that forgot TLS
-                    # and deserves a readable refusal.
-                    first = raw.recv(4, socket.MSG_PEEK)
-                    if first and first in (
-                        FRAME_MAGIC[: len(first)],
-                        MAGIC_V4[: len(first)],
-                        AUTH_MAGIC[: len(first)],
-                    ):
-                        _drain_refused_frame(raw, read_magic(raw))
-                        self._refuse_plaintext(raw)
+                    # Sniff (without consuming) the first byte: a TLS
+                    # client always opens with a handshake record
+                    # (0x16); anything else is a plaintext peer and
+                    # gets a readable refusal.
+                    first = raw.recv(1, socket.MSG_PEEK)
+                    if first and first != b"\x16":
+                        self._refuse(
+                            raw,
+                            "tls-required",
+                            f"this worker serves dist wire protocol "
+                            f"v{PROTOCOL_VERSION} over TLS; configure "
+                            f"--tls-ca (and --tls-cert/--tls-key for "
+                            f"mutual TLS) on the coordinator",
+                        )
                         return
                     wrapped = self._ssl_context.wrap_socket(
                         raw, server_side=True
@@ -670,9 +608,9 @@ class WorkerServer:
             except Exception as exc:
                 # A torn session never takes the worker down — not just
                 # transport errors but anything a mismatched coordinator
-                # can provoke (unpicklable payloads, malformed headers,
-                # failed TLS or auth handshakes): log and keep serving
-                # other sessions.
+                # can provoke (malformed headers or payloads, failed TLS
+                # or auth handshakes): log and keep serving other
+                # sessions.
                 self._log(f"session aborted: {exc!r}")
         finally:
             reaper.cancel()
@@ -684,150 +622,69 @@ class WorkerServer:
                         pass
 
     # -- one session ---------------------------------------------------
-    def _open_cache(self):
-        if self._cache_dir is None:
-            return None
-        from repro.eval.cache import TrialCache
+    def _open(self, connection) -> bool:
+        """Run the session's opening sequence; ``False`` = refused.
 
-        return TrialCache(self._cache_dir)
+        The auth handshake binds the one wire version; without a secret
+        the opening is one JSON ``init`` frame naming it.  Every other
+        opening gets :meth:`_refuse` — decided from the magic bytes, so
+        a refused frame is never parsed.
+        """
+        magic = read_magic(connection)
+        if magic == AUTH_MAGIC:
+            try:
+                server_handshake(
+                    connection, self._secret, preread_magic=magic
+                )
+            except AuthError as exc:
+                # The rejection frame is already on the wire; log and
+                # drop without ever touching a session frame.
+                self._log(f"auth refused: {exc}")
+                return False
+            return True
+        if self._secret is not None:
+            self._refuse(
+                connection,
+                "auth-required",
+                f"this worker requires the shared-secret handshake of "
+                f"dist wire protocol v{PROTOCOL_VERSION}; configure the "
+                f"same secret on the coordinator (REPRO_DIST_SECRET or "
+                f"--secret-file)",
+            )
+            return False
+        mismatch = (
+            f"this worker speaks dist wire protocol v{PROTOCOL_VERSION} "
+            f"only: open the session with the auth handshake or one "
+            f"JSON init frame naming protocol {PROTOCOL_VERSION}"
+        )
+        if magic == MAGIC:
+            try:
+                header, _ = recv_json_message(
+                    connection, preread_magic=magic
+                )
+            except ProtocolError:
+                header = {}  # a malformed frame is refused like the rest
+            if (
+                header.get("type") == "init"
+                and header.get("protocol") == PROTOCOL_VERSION
+            ):
+                return True
+        self._refuse(connection, "protocol-mismatch", mismatch)
+        return False
 
     def _serve_session(
         self, connection: socket.socket, handshake_done=None
     ) -> None:
-        # Dispatch on the first 4 bytes so the secured path decides
-        # before any pickled byte — header included — is consumed.
-        magic = read_magic(connection)
-        authenticated_version = None
-        payload = b""
-        if magic == AUTH_MAGIC:
-            try:
-                authenticated_version = server_handshake(
-                    connection,
-                    self._secret,
-                    preread_magic=magic,
-                    protocol_max=self._protocol_max,
-                )
-            except AuthError as exc:
-                # The rejection frame is already on the wire; log and
-                # drop without ever touching a payload.
-                self._log(f"auth refused: {exc}")
-                return
-            if authenticated_version >= CODEC_PROTOCOL_VERSION:
-                # The handshake already bound a pickle-free version for
-                # both sides; no legacy init frame exists on this
-                # session, so go straight to the v4 exchange.
-                self.negotiated_versions.append(authenticated_version)
-                self._serve_v4(
-                    connection, authenticated_version, handshake_done
-                )
-                return
-            header, payload = recv_message(connection)
-        elif magic == FRAME_MAGIC:
-            if self._secret is not None:
-                # Refuse legacy/unauthenticated peers at the magic
-                # bytes: the init frame's pickled header and payload
-                # are never parsed — only drained, so the refusal
-                # below is not destroyed by a reset.  The reply uses
-                # the legacy error framing so v1/v2 coordinators can
-                # render it.
-                _drain_refused_frame(connection, magic)
-                send_message(
-                    connection,
-                    {
-                        "type": "error",
-                        "error": "auth-required",
-                        "chunk": None,
-                        "message": (
-                            "this worker requires shared-secret "
-                            "authentication (protocol v3); configure "
-                            "the same secret on the coordinator "
-                            "(REPRO_DIST_SECRET or --secret-file)"
-                        ),
-                        "traceback": "",
-                    },
-                )
-                self._log(
-                    "refused unauthenticated session (shared secret "
-                    "required); no payload was read"
-                )
-                return
-            header, payload = recv_message(
-                connection, preread_magic=magic
-            )
-        else:
-            raise bad_magic_error(magic, "an init or auth frame")
-        if header["type"] != "init":
-            raise ProtocolError(
-                f"expected an init frame, got {header['type']!r}"
-            )
-        try:
-            version = negotiate_version(header, limit=self._protocol_max)
-        except ProtocolError as exc:
-            send_message(
-                connection,
-                {
-                    "type": "error",
-                    "chunk": None,
-                    "message": str(exc),
-                    "traceback": "",
-                },
-            )
+        """Opening, ``ready``, the context frame, then the chunk loop."""
+        if not self._open(connection):
             return
-        if (
-            authenticated_version is not None
-            and version != authenticated_version
-        ):
-            # The HMAC bound the negotiated version; an init that
-            # negotiates anything else is a downgrade attempt.
-            raise ProtocolError(
-                f"init negotiated version {version} but the "
-                f"authenticated handshake bound version "
-                f"{authenticated_version}; refusing the downgrade"
-            )
-        self.negotiated_versions.append(version)
-        if version >= CODEC_PROTOCOL_VERSION:
-            # The init frame's pickled payload is a compatibility
-            # vehicle for older workers; this one negotiated the
-            # pickle-free wire, so the bytes are discarded *unparsed*
-            # and the context arrives again as a v4 JSON frame.
-            del payload
-            self._serve_v4(connection, version, handshake_done)
-            return
-        instance, config, options = pickle.loads(payload)
-        ready = {
-            "type": "ready",
-            "protocol": version,
-            "host": socket.gethostname(),
-        }
-        if version >= CAPACITY_PROTOCOL_VERSION:
-            ready["capacity"] = self.capacity
-        send_message(connection, ready)
-        if handshake_done is not None:
-            handshake_done.set()  # disarm the stalled-handshake reaper
-        connection.settimeout(None)  # handshake done: blocking session
-        if version >= CAPACITY_PROTOCOL_VERSION and self.capacity > 1:
-            self._serve_concurrent(connection, instance, config, options)
-        else:
-            self._serve_sequential(connection, instance, config, options)
-
-    # -- protocol v4 sessions ------------------------------------------
-    def _serve_v4(self, connection, version, handshake_done) -> None:
-        """The pickle-free session: v4 ready, context frame, then serve.
-
-        Frame order is uniform across the auth and legacy-init entry
-        paths: the worker's v4 ``ready`` goes first (its magic is what
-        tells the coordinator the reply is v4), the coordinator answers
-        with the codec'd ``context`` frame, and only then does the
-        chunk loop start.
-        """
         send_json_message(
             connection,
             {
                 "type": "ready",
-                "protocol": version,
+                "protocol": PROTOCOL_VERSION,
                 "host": socket.gethostname(),
                 "capacity": self.capacity,
-                "features": list(WORKER_FEATURES),
             },
         )
         header, payload = recv_json_message(connection)
@@ -835,50 +692,162 @@ class WorkerServer:
             raise ProtocolError(
                 f"expected a context frame, got {header['type']!r}"
             )
-        if header.get("protocol") != version:
-            raise ProtocolError(
-                f"context frame claims protocol "
-                f"{header.get('protocol')!r} on a version-{version} "
-                f"session; refusing the mismatch"
-            )
-        (instance, config, options), fingerprint = decode_context(payload)
+        context, fingerprint = decode_context(payload)
         if handshake_done is not None:
             handshake_done.set()  # disarm the stalled-handshake reaper
         connection.settimeout(None)  # handshake done: blocking session
-        send_lock = threading.Lock()
+        transport = _Transport(connection)
         heartbeat = None
         interval = header.get("heartbeat")
         if isinstance(interval, (int, float)) and interval > 0:
             # The coordinator armed liveness for this session: beat
             # unsolicited pongs so long chunks never read as silence.
-            heartbeat = _HeartbeatSender(
-                connection, send_lock, interval, self._log
-            )
+            heartbeat = _HeartbeatSender(transport, interval, self._log)
             heartbeat.start()
         try:
-            if self.capacity > 1:
-                self._serve_concurrent_v4(
-                    connection,
-                    instance,
-                    config,
-                    options,
-                    fingerprint,
-                    send_lock,
-                    heartbeat,
-                )
-            else:
-                self._serve_sequential_v4(
-                    connection,
-                    instance,
-                    config,
-                    options,
-                    fingerprint,
-                    send_lock,
-                    heartbeat,
-                )
+            self._serve_chunks(transport, context, fingerprint, heartbeat)
         finally:
             if heartbeat is not None:
                 heartbeat.stop()
+            transport.close()
+
+    def _serve_chunks(self, transport, context, fingerprint, heartbeat):
+        """The chunk loop: receive frames, submit chunks, until ``end``.
+
+        Each chunk is submitted to the session's executor and answered
+        by :meth:`_send_chunk_result` when it completes — a process
+        pool of ``capacity`` children, or inline in this thread at
+        capacity 1.  The cache handle and throttle travel with the
+        chunk state either way.
+        """
+        state_args = (
+            *context,
+            self._cache_dir,
+            self._throttle,
+            fingerprint,
+        )
+        if self.capacity > 1:
+            # ``spawn`` keeps the pool fork-free even though the server
+            # is multi-threaded.
+            executor = ProcessPoolExecutor(
+                max_workers=self.capacity,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_pool_initializer,
+                initargs=state_args,
+            )
+            run, args = _pool_run_chunk, ()
+        else:
+            executor = _InlineExecutor()
+            run, args = _run_chunk, (_chunk_state(*state_args),)
+        chunks_accepted = 0
+        try:
+            while True:
+                try:
+                    header, payload = recv_json_message(transport.connection)
+                except ConnectionClosed:
+                    return
+                kind = header["type"]
+                if kind == "ping":
+                    # Coordinator liveness probe: answer immediately,
+                    # even between heartbeat beats.
+                    transport.send({"type": "pong"})
+                    continue
+                if kind == "shm":
+                    transport.send(transport.open(header))
+                    continue
+                if kind == "end":
+                    # The coordinator only sends "end" after it has
+                    # received every in-flight result, so nothing is
+                    # computing for this session any more.
+                    transport.collect_acks(header)
+                    self._log("session done")
+                    return
+                if kind != "chunk":
+                    raise ProtocolError(
+                        f"expected a chunk frame, got {kind!r}"
+                    )
+                transport.collect_acks(header)
+                if (
+                    self._fail_after_chunks is not None
+                    and chunks_accepted >= self._fail_after_chunks
+                ):
+                    # Fault injection: vanish mid-chunk, exactly like a
+                    # worker killed while computing.
+                    self._log(
+                        f"fault injection: dropping connection before "
+                        f"chunk {header['chunk']}"
+                    )
+                    return
+                if self._apply_chunk_fault(chunks_accepted + 1, heartbeat):
+                    return
+                chunk_id = header["chunk"]
+                future = executor.submit(
+                    run, *args, transport.chunk_payload(header, payload)
+                )
+                future.add_done_callback(
+                    lambda done, chunk=chunk_id: self._send_chunk_result(
+                        transport, chunk, done
+                    )
+                )
+                chunks_accepted += 1
+        finally:
+            # Abandon rather than join: on a fault-injected (or torn)
+            # session the in-flight chunks are already requeued on the
+            # coordinator; their pool processes finish their current
+            # task, write it back to the cache, and exit.  The caller
+            # closes the transport only after the pool can no longer
+            # call back into it.
+            executor.shutdown(wait=False, cancel_futures=True)
+
+    def _send_chunk_result(self, transport, chunk_id, future) -> None:
+        """Completion callback: ship one chunk's result or error.
+
+        Task exceptions become ``error`` frames (they would fail
+        identically anywhere, so the coordinator must not retry them).
+        A *broken pool* — a child OOM-killed or segfaulted — is
+        infrastructure death, not a task error: shut the connection
+        down without replying, so the coordinator sees this worker as
+        down and requeues the chunk on survivors, exactly like a worker
+        process dying.  The session thread, woken by the shutdown,
+        closes the socket.
+        """
+        try:
+            try:
+                descriptor, buffer = future.result()
+            except BrokenProcessPool as exc:
+                self._log(
+                    f"process pool broke on chunk {chunk_id}: {exc!r}"
+                )
+                try:
+                    transport.connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                return
+            except Exception as exc:
+                transport.send(
+                    {
+                        "type": "error",
+                        "chunk": chunk_id,
+                        "message": repr(exc),
+                        "traceback": "".join(
+                            traceback.format_exception(exc)
+                        ),
+                    },
+                )
+            else:
+                transport.send_result(
+                    {
+                        "type": "result",
+                        "chunk": chunk_id,
+                        "descriptor": descriptor,
+                    },
+                    buffer,
+                )
+        except Exception as exc:
+            # The session is gone (connection closed mid-send) or the
+            # future was cancelled by a tearing-down pool; either way
+            # the coordinator requeues the chunk elsewhere.
+            self._log(f"result send failed for chunk {chunk_id}: {exc!r}")
 
     def _apply_chunk_fault(self, ordinal: int, heartbeat) -> bool:
         """Chaos hook at chunk arrival; ``True`` = drop the session.
@@ -931,412 +900,6 @@ class WorkerServer:
         )
         time.sleep(fault[1])
         return False
-
-    def _serve_sequential_v4(
-        self,
-        connection,
-        instance,
-        config,
-        options,
-        fingerprint,
-        send_lock,
-        heartbeat,
-    ) -> None:
-        """v4 twin of :meth:`_serve_sequential` (one chunk in flight)."""
-        cache = self._open_cache()
-        transport = _V4Transport(connection, send_lock)
-        chunks_accepted = 0
-        try:
-            while True:
-                try:
-                    header, payload = recv_json_message(connection)
-                except ConnectionClosed:
-                    return
-                kind = header["type"]
-                if kind == "ping":
-                    # Coordinator liveness probe: answer immediately,
-                    # even between heartbeat beats.
-                    transport.send({"type": "pong"})
-                    continue
-                if kind == "shm":
-                    transport.send(transport.open(header))
-                    continue
-                if kind == "end":
-                    transport.collect_acks(header)
-                    if cache is not None:
-                        self._log(
-                            f"session done — {cache.stats.render()}"
-                        )
-                    return
-                if kind != "chunk":
-                    raise ProtocolError(
-                        f"expected a chunk frame, got {kind!r}"
-                    )
-                transport.collect_acks(header)
-                if (
-                    self._fail_after_chunks is not None
-                    and chunks_accepted >= self._fail_after_chunks
-                ):
-                    self._log(
-                        f"fault injection: dropping connection before "
-                        f"chunk {header['chunk']}"
-                    )
-                    return
-                if self._apply_chunk_fault(chunks_accepted + 1, heartbeat):
-                    return
-                chunk_id = header["chunk"]
-                tasks = decode_tasks(
-                    transport.chunk_payload(header, payload)
-                )
-                try:
-                    descriptor, buffer = _run_chunk_tasks(
-                        tasks,
-                        instance,
-                        config,
-                        options,
-                        cache,
-                        fingerprint if cache is not None else None,
-                        self._throttle,
-                    )
-                except Exception as exc:
-                    transport.send(
-                        {
-                            "type": "error",
-                            "chunk": chunk_id,
-                            "message": repr(exc),
-                            "traceback": traceback.format_exc(),
-                        },
-                    )
-                else:
-                    transport.send_result(
-                        {
-                            "type": "result",
-                            "chunk": chunk_id,
-                            "descriptor": descriptor,
-                        },
-                        buffer,
-                    )
-                chunks_accepted += 1
-        finally:
-            transport.close()
-
-    def _serve_concurrent_v4(
-        self,
-        connection,
-        instance,
-        config,
-        options,
-        fingerprint,
-        send_lock,
-        heartbeat,
-    ) -> None:
-        """v4 twin of :meth:`_serve_concurrent` (pooled chunk slots)."""
-        pool = ProcessPoolExecutor(
-            max_workers=self.capacity,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_pool_initializer,
-            initargs=(
-                instance,
-                config,
-                options,
-                self._cache_dir,
-                self._throttle,
-                fingerprint,
-            ),
-        )
-        transport = _V4Transport(connection, send_lock)
-        chunks_accepted = 0
-        try:
-            while True:
-                try:
-                    header, payload = recv_json_message(connection)
-                except ConnectionClosed:
-                    return
-                kind = header["type"]
-                if kind == "ping":
-                    transport.send({"type": "pong"})
-                    continue
-                if kind == "shm":
-                    transport.send(transport.open(header))
-                    continue
-                if kind == "end":
-                    transport.collect_acks(header)
-                    self._log("session done")
-                    return
-                if kind != "chunk":
-                    raise ProtocolError(
-                        f"expected a chunk frame, got {kind!r}"
-                    )
-                transport.collect_acks(header)
-                if (
-                    self._fail_after_chunks is not None
-                    and chunks_accepted >= self._fail_after_chunks
-                ):
-                    self._log(
-                        f"fault injection: dropping connection before "
-                        f"chunk {header['chunk']}"
-                    )
-                    return
-                if self._apply_chunk_fault(chunks_accepted + 1, heartbeat):
-                    return
-                chunk_id = header["chunk"]
-                data = transport.chunk_payload(header, payload)
-                future = pool.submit(_pool_run_chunk_v4, data)
-                future.add_done_callback(
-                    lambda done, chunk=chunk_id: (
-                        self._send_chunk_result_v4(
-                            connection, transport, chunk, done
-                        )
-                    )
-                )
-                chunks_accepted += 1
-        finally:
-            # Abandon rather than join (see _serve_concurrent); close
-            # the transport only after the pool can no longer call back
-            # into it.
-            pool.shutdown(wait=False, cancel_futures=True)
-            transport.close()
-
-    def _send_chunk_result_v4(
-        self, connection, transport, chunk_id, future
-    ) -> None:
-        """v4 twin of :meth:`_send_chunk_result` (same failure policy).
-
-        The transport serializes its own sends (one lock shared with
-        the session thread and the heartbeat sender).
-        """
-        try:
-            try:
-                descriptor, buffer = future.result()
-            except BrokenProcessPool as exc:
-                self._log(
-                    f"process pool broke on chunk {chunk_id}: {exc!r}"
-                )
-                try:
-                    connection.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-                return
-            except Exception as exc:
-                transport.send(
-                    {
-                        "type": "error",
-                        "chunk": chunk_id,
-                        "message": repr(exc),
-                        "traceback": "".join(
-                            traceback.format_exception(exc)
-                        ),
-                    },
-                )
-            else:
-                transport.send_result(
-                    {
-                        "type": "result",
-                        "chunk": chunk_id,
-                        "descriptor": descriptor,
-                    },
-                    buffer,
-                )
-        except BaseException as exc:
-            # The session is gone (connection closed mid-send) or the
-            # future was cancelled by a tearing-down pool; either way
-            # the coordinator requeues the chunk elsewhere.
-            self._log(f"result send failed for chunk {chunk_id}: {exc!r}")
-
-    def _serve_sequential(
-        self, connection, instance, config, options
-    ) -> None:
-        """One chunk in flight, computed in the session thread."""
-        cache = self._open_cache()
-        fingerprint = (
-            instance_fingerprint(instance) if cache is not None else None
-        )
-        chunks_accepted = 0
-        while True:
-            try:
-                header, payload = recv_message(connection)
-            except ConnectionClosed:
-                return
-            if header["type"] == "end":
-                if cache is not None:
-                    self._log(f"session done — {cache.stats.render()}")
-                return
-            if header["type"] != "chunk":
-                raise ProtocolError(
-                    f"expected a chunk frame, got {header['type']!r}"
-                )
-            if (
-                self._fail_after_chunks is not None
-                and chunks_accepted >= self._fail_after_chunks
-            ):
-                # Fault injection: vanish mid-chunk, exactly like a
-                # worker killed while computing.
-                self._log(
-                    f"fault injection: dropping connection before "
-                    f"chunk {header['chunk']}"
-                )
-                return
-            chunk_id = header["chunk"]
-            tasks = pickle.loads(payload)
-            try:
-                descriptor, buffer = _run_chunk_tasks(
-                    tasks,
-                    instance,
-                    config,
-                    options,
-                    cache,
-                    fingerprint,
-                    self._throttle,
-                )
-            except Exception as exc:
-                send_message(
-                    connection,
-                    {
-                        "type": "error",
-                        "chunk": chunk_id,
-                        "message": repr(exc),
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-            else:
-                send_message(
-                    connection,
-                    {
-                        "type": "result",
-                        "chunk": chunk_id,
-                        "descriptor": descriptor,
-                    },
-                    buffer_payload(buffer),
-                )
-            chunks_accepted += 1
-
-    def _serve_concurrent(
-        self, connection, instance, config, options
-    ) -> None:
-        """Up to ``capacity`` in-flight chunks on a process pool.
-
-        The session thread only receives frames and submits chunks;
-        pool completion callbacks send each result as it finishes, so
-        replies may be out of chunk order (the coordinator keys them by
-        chunk index).  The ``spawn`` start method keeps the fork-free
-        even though the server is multi-threaded.
-        """
-        pool = ProcessPoolExecutor(
-            max_workers=self.capacity,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_pool_initializer,
-            initargs=(
-                instance,
-                config,
-                options,
-                self._cache_dir,
-                self._throttle,
-            ),
-        )
-        send_lock = threading.Lock()
-        chunks_accepted = 0
-        try:
-            while True:
-                try:
-                    header, payload = recv_message(connection)
-                except ConnectionClosed:
-                    return
-                if header["type"] == "end":
-                    # The coordinator only sends "end" after it has
-                    # received every in-flight result, so nothing is
-                    # computing for this session any more.
-                    self._log("session done")
-                    return
-                if header["type"] != "chunk":
-                    raise ProtocolError(
-                        f"expected a chunk frame, got {header['type']!r}"
-                    )
-                if (
-                    self._fail_after_chunks is not None
-                    and chunks_accepted >= self._fail_after_chunks
-                ):
-                    self._log(
-                        f"fault injection: dropping connection before "
-                        f"chunk {header['chunk']}"
-                    )
-                    return
-                chunk_id = header["chunk"]
-                future = pool.submit(_pool_run_chunk, payload)
-                future.add_done_callback(
-                    lambda done, chunk=chunk_id: self._send_chunk_result(
-                        connection, send_lock, chunk, done
-                    )
-                )
-                chunks_accepted += 1
-        finally:
-            # Abandon rather than join: on a fault-injected (or torn)
-            # session the in-flight chunks are already requeued on the
-            # coordinator; their pool processes finish their current
-            # task, write it back to the cache, and exit.
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _send_chunk_result(
-        self, connection, send_lock, chunk_id, future
-    ) -> None:
-        """Completion callback: ship one chunk's result or error.
-
-        Task exceptions become ``error`` frames (they would fail
-        identically anywhere, so the coordinator must not retry them).
-        A *broken pool* — a child OOM-killed or segfaulted — is
-        infrastructure death, not a task error: drop the session
-        without replying, so the coordinator sees this worker as down
-        and requeues the chunk on survivors, exactly like a sequential
-        worker process dying.
-        """
-        try:
-            try:
-                descriptor, buffer = future.result()
-            except BrokenProcessPool as exc:
-                self._log(
-                    f"process pool broke on chunk {chunk_id}: {exc!r}"
-                )
-                try:
-                    connection.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-                return
-            except Exception as exc:
-                with send_lock:
-                    send_message(
-                        connection,
-                        {
-                            "type": "error",
-                            "chunk": chunk_id,
-                            "message": repr(exc),
-                            "traceback": "".join(
-                                traceback.format_exception(exc)
-                            ),
-                        },
-                    )
-            else:
-                with send_lock:
-                    send_message(
-                        connection,
-                        {
-                            "type": "result",
-                            "chunk": chunk_id,
-                            "descriptor": descriptor,
-                        },
-                        buffer_payload(buffer),
-                    )
-        except BaseException as exc:
-            # The session is gone (connection closed mid-send) or the
-            # future was cancelled by a tearing-down pool; either way
-            # the coordinator requeues the chunk elsewhere.
-            self._log(f"result send failed for chunk {chunk_id}: {exc!r}")
 
     @staticmethod
     def _run_task(instance, config, options, task, cache, fingerprint):

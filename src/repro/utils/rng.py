@@ -172,7 +172,8 @@ def generator_spec(gen: np.random.Generator) -> dict:
     generator with an integer-entropy seed sequence: the engine only
     ever produces those (``default_rng`` / ``SeedSequence.spawn``), and
     a lossy description would silently break bit-identity, so exotic
-    generators must fail loudly (callers fall back to the pickled wire).
+    generators must fail loudly (the dist codec reports a
+    :class:`~repro.eval.dist.codec.CodecError` before the sweep starts).
     """
     if not isinstance(gen, np.random.Generator):
         raise ValueError(

@@ -1,6 +1,5 @@
 """Distributed sweep backend: framing, fault tolerance, bit-identity."""
 
-import contextlib
 import pathlib
 import pickle
 import socket
@@ -11,12 +10,10 @@ import numpy as np
 import pytest
 
 from repro.eval.dist import (
-    CAPACITY_PROTOCOL_VERSION,
-    CODEC_PROTOCOL_VERSION,
-    MAGIC_V4,
-    PROTOCOL_BASE_VERSION,
+    MAGIC,
     PROTOCOL_VERSION,
     ChunkBoard,
+    CodecError,
     ConnectionClosed,
     FaultPlan,
     HostSpec,
@@ -26,13 +23,10 @@ from repro.eval.dist import (
     ShmError,
     WorkerServer,
     buffer_payload,
-    negotiate_version,
     parse_hosts,
     payload_to_buffer,
-    read_magic,
     recv_json_message,
-    recv_message,
-    send_message,
+    send_json_message,
 )
 from repro.eval.cache import TrialCache
 from repro.eval.parallel import (
@@ -45,6 +39,8 @@ from repro.eval.parallel import (
 )
 from repro.simulate.experiment import ExperimentConfig
 
+from dist_support import assert_identical, pipe, worker_fleet
+
 FAST = ExperimentConfig(n_snapshots=120, packets_per_path=200)
 
 # Hang protection for the whole dist suite: a deadlocked coordinator or
@@ -55,82 +51,84 @@ pytestmark = pytest.mark.timeout(120)
 # ----------------------------------------------------------------------
 # Protocol framing
 # ----------------------------------------------------------------------
-@contextlib.contextmanager
-def _pipe():
-    left, right = socket.socketpair()
-    try:
-        yield left, right
-    finally:
-        left.close()
-        right.close()
-
-
 class TestFraming:
     def test_round_trip_header_and_payload(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             payload = bytes(range(256)) * 100
-            send_message(
+            send_json_message(
                 left, {"type": "chunk", "chunk": 7, "extra": [1, 2]}, payload
             )
-            header, received = recv_message(right)
+            header, received = recv_json_message(right)
         assert header == {"type": "chunk", "chunk": 7, "extra": [1, 2]}
         assert received == payload
 
     def test_round_trip_empty_payload(self):
-        with _pipe() as (left, right):
-            send_message(left, {"type": "end"})
-            header, received = recv_message(right)
+        with pipe() as (left, right):
+            send_json_message(left, {"type": "end"})
+            header, received = recv_json_message(right)
         assert header["type"] == "end"
         assert received == b""
 
     def test_multiple_frames_in_sequence(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             for index in range(5):
-                send_message(left, {"type": "chunk", "chunk": index})
-            got = [recv_message(right)[0]["chunk"] for _ in range(5)]
+                send_json_message(left, {"type": "chunk", "chunk": index})
+            got = [recv_json_message(right)[0]["chunk"] for _ in range(5)]
         assert got == list(range(5))
 
     def test_clean_close_raises_connection_closed(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             left.close()
             with pytest.raises(ConnectionClosed):
-                recv_message(right)
+                recv_json_message(right)
 
     def test_mid_frame_close_is_not_clean(self):
-        with _pipe() as (left, right):
-            send_message(left, {"type": "chunk"}, b"x" * 64)
-            # Retransmit a truncated copy: send only part of the frame.
+        with pipe() as (left, right):
+            send_json_message(left, {"type": "chunk"}, b"x" * 64)
             left.close()
-            recv_message(right)  # the full frame arrives fine
-        with _pipe() as (left, right):
-            left.sendall(b"RTD1")  # magic only, then vanish
+            recv_json_message(right)  # the full frame arrives fine
+        with pipe() as (left, right):
+            left.sendall(MAGIC)  # magic only, then vanish
             left.close()
             with pytest.raises(ProtocolError) as excinfo:
-                recv_message(right)
+                recv_json_message(right)
             assert not isinstance(excinfo.value, ConnectionClosed)
 
     def test_bad_magic_rejected(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             left.sendall(b"BOGUS!!!" + bytes(16))
             with pytest.raises(ProtocolError, match="magic"):
-                recv_message(right)
+                recv_json_message(right)
 
     def test_oversized_lengths_rejected(self):
         import struct
 
-        with _pipe() as (left, right):
-            left.sendall(struct.pack("!4sQQ", b"RTD1", 1 << 60, 0))
+        with pipe() as (left, right):
+            left.sendall(struct.pack("!4sQQ", MAGIC, 1 << 60, 0))
             with pytest.raises(ProtocolError, match="header length"):
-                recv_message(right)
+                recv_json_message(right)
+        with pipe() as (left, right):
+            left.sendall(struct.pack("!4sQQ", MAGIC, 2, 1 << 60))
+            with pytest.raises(ProtocolError, match="payload length"):
+                recv_json_message(right)
 
     def test_non_dict_header_rejected(self):
         import struct
 
-        blob = pickle.dumps(["not", "a", "dict"])
-        with _pipe() as (left, right):
-            left.sendall(struct.pack("!4sQQ", b"RTD1", len(blob), 0) + blob)
-            with pytest.raises(ProtocolError, match="dict"):
-                recv_message(right)
+        blob = b'["not", "a", "dict"]'
+        with pipe() as (left, right):
+            left.sendall(struct.pack("!4sQQ", MAGIC, len(blob), 0) + blob)
+            with pytest.raises(ProtocolError, match="JSON object"):
+                recv_json_message(right)
+
+    def test_malformed_json_header_rejected(self):
+        import struct
+
+        blob = b'{"type": "chunk", '
+        with pipe() as (left, right):
+            left.sendall(struct.pack("!4sQQ", MAGIC, len(blob), 0) + blob)
+            with pytest.raises(ProtocolError, match="malformed"):
+                recv_json_message(right)
 
     def test_packed_buffer_round_trip(self):
         dicts = [
@@ -210,34 +208,6 @@ class TestParseHosts:
 # ----------------------------------------------------------------------
 # Remote execution
 # ----------------------------------------------------------------------
-@contextlib.contextmanager
-def worker_fleet(count=2, /, **kwargs):
-    """Run ``count`` in-thread workers; yields the server objects."""
-    kwargs.setdefault("max_sessions", 1)
-    servers = [WorkerServer(**kwargs) for _ in range(count)]
-    threads = [
-        threading.Thread(target=server.serve_forever, daemon=True)
-        for server in servers
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        yield servers
-    finally:
-        for server in servers:
-            server.close()
-        for thread in threads:
-            thread.join(timeout=10)
-
-
-def _assert_identical(reference, candidate):
-    assert len(reference) == len(candidate)
-    for errors_a, errors_b in zip(reference, candidate):
-        assert set(errors_a) == set(errors_b)
-        for name in errors_a:
-            assert np.array_equal(errors_a[name], errors_b[name])
-
-
 def _boom_factory(instance, seed=None, **kwargs):
     raise RuntimeError("injected failure")
 
@@ -259,7 +229,7 @@ class TestRemoteExecution:
                     [server.address for server in servers]
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_worker_death_requeues_deterministically(self, planetlab_small):
         """One worker drops mid-chunk; survivors absorb the requeue."""
@@ -279,7 +249,7 @@ class TestRemoteExecution:
                         [good[0].address, flaky[0].address]
                     ),
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_death_during_send_requeues_the_claimed_chunk(
         self, planetlab_small, monkeypatch
@@ -292,29 +262,17 @@ class TestRemoteExecution:
         """
         from repro.eval.dist import coordinator as coordinator_module
 
-        # Trip whichever wire the session negotiated: legacy chunk
-        # frames go through send_message, v4 ones through
-        # send_json_message.
         tripped = []
+        real_send = coordinator_module.send_json_message
 
-        def _flaky(real):
-            def flaky_send(sock, header, payload=b""):
-                if header.get("type") == "chunk" and not tripped:
-                    tripped.append(header["chunk"])
-                    raise OSError("simulated connection reset")
-                return real(sock, header, payload)
-
-            return flaky_send
+        def flaky_send(sock, header, payload=b""):
+            if header.get("type") == "chunk" and not tripped:
+                tripped.append(header["chunk"])
+                raise OSError("simulated connection reset")
+            return real_send(sock, header, payload)
 
         monkeypatch.setattr(
-            coordinator_module,
-            "send_message",
-            _flaky(coordinator_module.send_message),
-        )
-        monkeypatch.setattr(
-            coordinator_module,
-            "send_json_message",
-            _flaky(coordinator_module.send_json_message),
+            coordinator_module, "send_json_message", flaky_send
         )
         tasks = scenario_tasks(
             "clustered", {"congested_fraction": 0.1}, n_trials=4, seed=30
@@ -345,7 +303,7 @@ class TestRemoteExecution:
             "requeued"
         )
         assert tripped  # the failure injection actually fired
-        _assert_identical(serial, outcome["remote"])
+        assert_identical(serial, outcome["remote"])
 
     def test_requeued_duplicate_of_own_inflight_chunk_is_absorbed(
         self, planetlab_small
@@ -377,7 +335,7 @@ class TestRemoteExecution:
                         max_attempts=5,
                     ),
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_all_workers_lost_raises_with_task_indices(
         self, planetlab_small
@@ -420,7 +378,7 @@ class TestRemoteExecution:
                     connect_timeout=2.0,
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_remote_task_error_settles_other_chunks(
         self, planetlab_small, monkeypatch, tmp_path
@@ -483,7 +441,7 @@ class TestRemoteExecution:
                     [server.address for server in servers]
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert len(list(store.rglob("*.npz"))) == entries
 
     def test_worker_writes_cache_as_chunks_complete(
@@ -528,7 +486,7 @@ class TestRemoteExecution:
                     straggler_timeout=0.01,
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_concurrent_sessions_on_one_worker(self, planetlab_small):
         """A worker mid-sweep still serves a second coordinator."""
@@ -553,8 +511,8 @@ class TestRemoteExecution:
             second.start()
             first.join(timeout=60)
             second.join(timeout=60)
-        _assert_identical(serial, outcomes["first"])
-        _assert_identical(serial, outcomes["second"])
+        assert_identical(serial, outcomes["first"])
+        assert_identical(serial, outcomes["second"])
 
     def test_broken_pool_drops_session_instead_of_task_error(self):
         """A pool child dying (OOM, segfault) is infrastructure death:
@@ -562,6 +520,8 @@ class TestRemoteExecution:
         chunk on survivors — not report a never-retried task error."""
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
+
+        from repro.eval.dist.worker import _Transport
 
         server = WorkerServer(capacity=2)
         try:
@@ -571,13 +531,11 @@ class TestRemoteExecution:
                 future.set_exception(
                     BrokenProcessPool("child was OOM-killed")
                 )
-                server._send_chunk_result(
-                    left, threading.Lock(), 7, future
-                )
+                server._send_chunk_result(_Transport(left), 7, future)
                 # No error frame was sent; the peer sees a clean close
                 # (the worker-down signal that triggers a requeue).
                 with pytest.raises(ConnectionClosed):
-                    recv_message(right)
+                    recv_json_message(right)
             finally:
                 left.close()
                 right.close()
@@ -585,184 +543,138 @@ class TestRemoteExecution:
             server.close()
 
     def test_protocol_version_mismatch_reported(self):
+        """An init naming another version gets one refusal, then EOF."""
         with worker_fleet(1) as servers:
             sock = socket.create_connection(
                 (servers[0].host, servers[0].port), timeout=5
             )
             try:
-                send_message(
-                    sock,
-                    {"type": "init", "protocol": PROTOCOL_VERSION + 1},
-                    pickle.dumps((None, None, None)),
+                send_json_message(
+                    sock, {"type": "init", "protocol": PROTOCOL_VERSION + 1}
                 )
-                header, _ = recv_message(sock)
+                header, _ = recv_json_message(sock)
+                with pytest.raises(ConnectionClosed):
+                    recv_json_message(sock)
             finally:
                 sock.close()
         assert header["type"] == "error"
-        assert "protocol mismatch" in header["message"]
+        assert header["error"] == "protocol-mismatch"
+        assert header["protocol"] == PROTOCOL_VERSION
+        assert f"v{PROTOCOL_VERSION}" in header["message"]
+
+    def test_end_frame_survives_sweep_teardown(
+        self, planetlab_small, monkeypatch, tmp_path
+    ):
+        """The sweep's teardown never tears a session's ``end`` frame.
+
+        The session thread is slowed down right before it sends
+        ``end``, so the main thread reaches its teardown first; the
+        worker must still receive the complete frame (it logs "session
+        done" only for a real ``end``), because only the session thread
+        closes its own socket.
+        """
+        from repro.eval.dist import coordinator as coordinator_module
+
+        real_send = coordinator_module.send_json_message
+
+        def slow_end(sock, header, payload=b""):
+            if header.get("type") == "end":
+                time.sleep(0.3)
+            return real_send(sock, header, payload)
+
+        monkeypatch.setattr(coordinator_module, "send_json_message", slow_end)
+        tasks = scenario_tasks(
+            "clustered", {"congested_fraction": 0.1}, n_trials=2, seed=24
+        )
+        logs: list[str] = []
+        with worker_fleet(1, cache_dir=tmp_path, log=logs.append) as servers:
+            run_scenario_tasks(
+                planetlab_small,
+                tasks,
+                config=FAST,
+                executor=RemoteExecutor([servers[0].address]),
+            )
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not any(
+                line.startswith(("session done", "session aborted"))
+                for line in logs
+            ):
+                time.sleep(0.05)
+        assert any(line.startswith("session done") for line in logs), logs
 
 
 # ----------------------------------------------------------------------
-# Version negotiation and the capacity HELLO
+# The one wire version and the capacity advertisement
 # ----------------------------------------------------------------------
 class TestNegotiation:
-    def test_negotiate_version_rules(self):
-        # Version-1 coordinator (no protocol_max key) → version 1.
-        assert negotiate_version({"protocol": 1}) == 1
-        # Current coordinator → the highest version both speak.
-        assert (
-            negotiate_version({"protocol": 1, "protocol_max": 2}) == 2
-        )
-        # A future coordinator caps at what this build understands.
-        assert (
-            negotiate_version({"protocol": 1, "protocol_max": 99})
-            == PROTOCOL_VERSION
-        )
-
     @pytest.mark.parametrize(
         "header",
         [
-            {"protocol": PROTOCOL_VERSION + 1},  # baseline too new
+            {"protocol": PROTOCOL_VERSION + 1},  # a newer build
             {"protocol": None},
-            {"protocol": "1"},
+            {"protocol": str(PROTOCOL_VERSION)},
             {},
-            {"protocol": 1, "protocol_max": 0},  # max below baseline
-            {"protocol": 2, "protocol_max": 1},  # inverted range
+            # An older build's opening: baseline plus a version range.
+            {"protocol": 1, "protocol_max": PROTOCOL_VERSION},
+            {"protocol": PROTOCOL_VERSION - 1},
         ],
     )
     def test_negotiate_version_rejects(self, header):
-        with pytest.raises(ProtocolError, match="protocol mismatch"):
-            negotiate_version(header)
-
-    def _handshake(self, server, init_header):
-        sock = socket.create_connection(
-            (server.host, server.port), timeout=5
-        )
-        try:
-            send_message(
-                sock, init_header, pickle.dumps((None, None, None))
+        """There is nothing to negotiate: an ``init`` that does not name
+        the one version gets a single refusal naming it, then EOF."""
+        with worker_fleet(1) as servers:
+            sock = socket.create_connection(
+                (servers[0].host, servers[0].port), timeout=5
             )
-            # A worker that negotiated v4 answers with a v4-framed
-            # ready (and then expects a context frame — closing the
-            # socket ends the session); older negotiations answer with
-            # the legacy pickled frame and take a legacy "end".
-            magic = read_magic(sock)
-            if magic == MAGIC_V4:
-                header, _ = recv_json_message(sock, preread_magic=magic)
-            else:
-                header, _ = recv_message(sock, preread_magic=magic)
-                send_message(sock, {"type": "end"})
-        finally:
-            sock.close()
-        return header
+            try:
+                send_json_message(sock, {"type": "init", **header})
+                reply, _ = recv_json_message(sock)
+                with pytest.raises(ConnectionClosed):
+                    recv_json_message(sock)
+            finally:
+                sock.close()
+        assert reply["type"] == "error"
+        assert reply["protocol"] == PROTOCOL_VERSION
+        assert f"v{PROTOCOL_VERSION}" in reply["message"]
 
-    def test_v1_coordinator_gets_v1_ready_without_capacity(self):
-        """A PR-3 coordinator sees exactly the wire it expects."""
-        with worker_fleet(1, capacity=4) as servers:
-            header = self._handshake(
-                servers[0],
-                {"type": "init", "protocol": PROTOCOL_BASE_VERSION},
+    @pytest.mark.parametrize(
+        "opening",
+        [
+            b"GARBAGE!" + bytes(16),
+            # A frame of this wire whose JSON header is malformed.
+            MAGIC + (5).to_bytes(8, "big") + bytes(8) + b"{not}",
+        ],
+    )
+    def test_garbage_opening_refused(self, opening):
+        with worker_fleet(1) as servers:
+            sock = socket.create_connection(
+                (servers[0].host, servers[0].port), timeout=5
             )
-        assert header["type"] == "ready"
-        assert header["protocol"] == PROTOCOL_BASE_VERSION
-        assert "capacity" not in header
-
-    def test_v2_coordinator_learns_capacity(self):
-        """A capacity-era (PR-4) coordinator pins the session at v2."""
-        with worker_fleet(1, capacity=4) as servers:
-            header = self._handshake(
-                servers[0],
-                {
-                    "type": "init",
-                    "protocol": PROTOCOL_BASE_VERSION,
-                    "protocol_max": CAPACITY_PROTOCOL_VERSION,
-                },
-            )
-        assert header["type"] == "ready"
-        assert header["protocol"] == CAPACITY_PROTOCOL_VERSION
-        assert header["capacity"] == 4
+            try:
+                sock.sendall(opening)
+                reply, _ = recv_json_message(sock)
+                with pytest.raises(ConnectionClosed):
+                    recv_json_message(sock)
+            finally:
+                sock.close()
+        assert reply["error"] == "protocol-mismatch"
+        assert reply["protocol"] == PROTOCOL_VERSION
 
     def test_current_coordinator_negotiates_latest_version(self):
         with worker_fleet(1, capacity=4) as servers:
-            header = self._handshake(
-                servers[0],
-                {
-                    "type": "init",
-                    "protocol": PROTOCOL_BASE_VERSION,
-                    "protocol_max": PROTOCOL_VERSION,
-                },
+            sock = socket.create_connection(
+                (servers[0].host, servers[0].port), timeout=5
             )
+            try:
+                send_json_message(
+                    sock, {"type": "init", "protocol": PROTOCOL_VERSION}
+                )
+                header, _ = recv_json_message(sock)
+            finally:
+                sock.close()
         assert header["type"] == "ready"
         assert header["protocol"] == PROTOCOL_VERSION
         assert header["capacity"] == 4
-
-    def test_executor_tolerates_v1_worker(self, planetlab_small):
-        """A coordinator sweeping a fleet that still runs PR-3 code.
-
-        The fake worker speaks strict version 1: it rejects any init
-        whose ``protocol`` key is not exactly 1 (ignoring unknown keys,
-        as the PR-3 code did) and answers one chunk at a time.
-        """
-        from repro.eval.parallel import _execute_task
-
-        ready = threading.Event()
-        bound = {}
-
-        def v1_worker():
-            server = socket.create_server(("127.0.0.1", 0))
-            bound["port"] = server.getsockname()[1]
-            ready.set()
-            connection, _ = server.accept()
-            with connection, server:
-                header, payload = recv_message(connection)
-                assert header["protocol"] == 1  # baseline on the wire
-                instance, config, options = pickle.loads(payload)
-                send_message(
-                    connection, {"type": "ready", "protocol": 1}
-                )
-                while True:
-                    try:
-                        header, payload = recv_message(connection)
-                    except ConnectionClosed:
-                        return  # coordinator hung up: end of session
-                    if header["type"] == "end":
-                        return
-                    tasks = pickle.loads(payload)
-                    descriptor, buffer = _pack_error_dicts(
-                        [
-                            _execute_task(
-                                instance, config, options, task
-                            )
-                            for task in tasks
-                        ]
-                    )
-                    send_message(
-                        connection,
-                        {
-                            "type": "result",
-                            "chunk": header["chunk"],
-                            "descriptor": descriptor,
-                        },
-                        buffer_payload(buffer),
-                    )
-
-        thread = threading.Thread(target=v1_worker, daemon=True)
-        thread.start()
-        assert ready.wait(timeout=10)
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=3, seed=31
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        remote = run_scenario_tasks(
-            planetlab_small,
-            tasks,
-            config=FAST,
-            executor=RemoteExecutor([f"127.0.0.1:{bound['port']}"]),
-        )
-        thread.join(timeout=10)
-        _assert_identical(serial, remote)
 
     def test_capacity_worker_matches_serial_bit_identical(
         self, planetlab_small
@@ -781,7 +693,7 @@ class TestNegotiation:
                 config=FAST,
                 executor=RemoteExecutor([servers[0].address]),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_capacity_blind_executor_stays_sequential(
         self, planetlab_small
@@ -802,137 +714,24 @@ class TestNegotiation:
                     [servers[0].address], capacity_aware=False
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
 
 # ----------------------------------------------------------------------
-# Protocol v4: pinned wires, mixed fleets, the zero-pickle guarantee
+# The wire: codec'd payloads, no deserialization of executable bytes
 # ----------------------------------------------------------------------
-class _CountingPickle:
-    """Proxy that counts deserializations; everything else passes through."""
-
-    def __init__(self, real):
-        self._real = real
-        self.loads_count = 0
-
-    def loads(self, *args, **kwargs):
-        self.loads_count += 1
-        return self._real.loads(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._real, name)
-
-
 class TestV4Wire:
-    def test_v4_pinned_wire_matches_serial(self, planetlab_small):
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=4, seed=41
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(2) as servers:
-            remote = run_scenario_tasks(
-                planetlab_small,
-                tasks,
-                config=FAST,
-                executor=RemoteExecutor(
-                    [server.address for server in servers],
-                    wire_version=CODEC_PROTOCOL_VERSION,
-                ),
-            )
-            assert all(
-                server.negotiated_versions == [CODEC_PROTOCOL_VERSION]
-                for server in servers
-            )
-        _assert_identical(serial, remote)
-
-    def test_v3_pinned_wire_matches_serial(self, planetlab_small):
-        """wire_version=3 serves exactly the legacy pickled session."""
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=4, seed=42
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(2) as servers:
-            remote = run_scenario_tasks(
-                planetlab_small,
-                tasks,
-                config=FAST,
-                executor=RemoteExecutor(
-                    [server.address for server in servers],
-                    wire_version=CODEC_PROTOCOL_VERSION - 1,
-                ),
-            )
-            assert all(
-                server.negotiated_versions
-                == [CODEC_PROTOCOL_VERSION - 1]
-                for server in servers
-            )
-        _assert_identical(serial, remote)
-
-    def test_mixed_version_fleet_bit_identical(self, planetlab_small):
-        """One pre-v4 worker and one current worker share a sweep.
-
-        Each session gets its own codec — pickled frames to the pinned
-        worker, v4 frames to the other — and the merged results are
-        still bit-identical to serial.
-        """
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=4, seed=43
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(1, protocol_max=3) as legacy:
-            with worker_fleet(1) as modern:
-                remote = run_scenario_tasks(
-                    planetlab_small,
-                    tasks,
-                    config=FAST,
-                    executor=RemoteExecutor(
-                        [legacy[0].address, modern[0].address]
-                    ),
-                )
-                assert legacy[0].negotiated_versions == [3]
-                assert modern[0].negotiated_versions == [
-                    CODEC_PROTOCOL_VERSION
-                ]
-        _assert_identical(serial, remote)
-
-    def test_wire_pin_refuses_legacy_fleet(self, planetlab_small):
-        """wire_version=4 + a fleet that can only speak v3 fails fast."""
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=2, seed=44
-        )
-        with worker_fleet(2, protocol_max=3) as servers:
-            with pytest.raises(ScenarioTaskError):
-                run_scenario_tasks(
-                    planetlab_small,
-                    tasks,
-                    config=FAST,
-                    executor=RemoteExecutor(
-                        [server.address for server in servers],
-                        wire_version=CODEC_PROTOCOL_VERSION,
-                    ),
-                )
-
     def test_v4_session_deserializes_zero_pickles(
         self, planetlab_small, monkeypatch
     ):
-        """The tentpole guarantee, counter-asserted on live sweeps.
+        """The one-wire guarantee, counter-asserted on live sweeps.
 
-        Both wire modules get a counting ``pickle`` proxy.  A v3-pinned
-        sweep proves the counter observes the legacy wire (loads > 0);
-        an authenticated v4 sweep over the same fleet then runs with
-        **zero** ``pickle.loads`` calls anywhere in the process — the
-        worker never deserializes a pickled byte, fail-closed rather
-        than by convention.
+        The stdlib ``pickle.loads`` and ``pickle.Unpickler`` are
+        replaced by counting wrappers; an unsecured capacity-1 sweep
+        and an authenticated one then run with **zero**
+        deserializations anywhere in the process.  A probe call first
+        proves the counters are live.
         """
-        from repro.eval.dist import protocol as protocol_module
-        from repro.eval.dist import worker as worker_module
-
         secret = b"zero-pickle-proof"
         tasks = scenario_tasks(
             "clustered", {"congested_fraction": 0.1}, n_trials=3, seed=45
@@ -940,52 +739,71 @@ class TestV4Wire:
         serial = run_scenario_tasks(
             planetlab_small, tasks, config=FAST, workers=1
         )
+        calls: list[str] = []
+        real_loads = pickle.loads
 
-        def counted_sweep(wire_version):
-            counters = [
-                _CountingPickle(pickle),
-                _CountingPickle(pickle),
-            ]
-            monkeypatch.setattr(protocol_module, "pickle", counters[0])
-            monkeypatch.setattr(worker_module, "pickle", counters[1])
-            try:
-                with worker_fleet(2, secret=secret) as servers:
-                    remote = run_scenario_tasks(
-                        planetlab_small,
-                        tasks,
-                        config=FAST,
-                        executor=RemoteExecutor(
-                            [server.address for server in servers],
-                            secret=secret,
-                            wire_version=wire_version,
-                        ),
-                    )
-                    versions = [
-                        version
-                        for server in servers
-                        for version in server.negotiated_versions
-                    ]
-            finally:
-                monkeypatch.setattr(
-                    protocol_module, "pickle", pickle
+        def counting_loads(*args, **kwargs):
+            calls.append("loads")
+            return real_loads(*args, **kwargs)
+
+        class CountingUnpickler(pickle.Unpickler):
+            def __init__(self, *args, **kwargs):
+                calls.append("Unpickler")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", counting_loads)
+        monkeypatch.setattr(pickle, "Unpickler", CountingUnpickler)
+        import io
+
+        pickle.loads(pickle.dumps(1))
+        pickle.Unpickler(io.BytesIO(pickle.dumps(1))).load()
+        assert calls == ["loads", "Unpickler"]
+        calls.clear()
+
+        for fleet_kwargs, executor_kwargs in (
+            ({}, {}),
+            ({"secret": secret}, {"secret": secret}),
+        ):
+            with worker_fleet(2, **fleet_kwargs) as servers:
+                remote = run_scenario_tasks(
+                    planetlab_small,
+                    tasks,
+                    config=FAST,
+                    executor=RemoteExecutor(
+                        [server.address for server in servers],
+                        **executor_kwargs,
+                    ),
                 )
-                monkeypatch.setattr(worker_module, "pickle", pickle)
-            loads = sum(counter.loads_count for counter in counters)
-            return remote, versions, loads
+            assert_identical(serial, remote)
+        assert calls == []
 
-        # Control: the pinned legacy wire visibly unpickles.
-        remote, versions, loads = counted_sweep(
-            CODEC_PROTOCOL_VERSION - 1
-        )
-        _assert_identical(serial, remote)
-        assert set(versions) == {CODEC_PROTOCOL_VERSION - 1}
-        assert loads > 0
-
-        # The v4 wire: same sweep, zero deserialized pickles.
-        remote, versions, loads = counted_sweep(CODEC_PROTOCOL_VERSION)
-        _assert_identical(serial, remote)
-        assert set(versions) == {CODEC_PROTOCOL_VERSION}
-        assert loads == 0
+    def test_unencodable_sweep_fails_before_connecting(
+        self, planetlab_small
+    ):
+        """A sweep the codec cannot carry fails up front, naming the
+        field — never by silently switching to another encoding, and
+        before any worker sees a connection."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.5)
+        try:
+            tasks = scenario_tasks(
+                "clustered",
+                {"congested_fraction": 0.1, "bad": {1, 2}},
+                n_trials=2,
+                seed=44,
+            )
+            address = "127.0.0.1:%d" % listener.getsockname()[1]
+            with pytest.raises(CodecError, match="bad"):
+                run_scenario_tasks(
+                    planetlab_small,
+                    tasks,
+                    config=FAST,
+                    executor=RemoteExecutor([address]),
+                )
+            with pytest.raises(socket.timeout):
+                listener.accept()
+        finally:
+            listener.close()
 
 
 # ----------------------------------------------------------------------
@@ -1041,7 +859,7 @@ class TestShmTransport:
             remote = self._sweep(
                 planetlab_small, tasks, servers, transport="shm"
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         # Two rings per session actually moved the payloads...
         assert len(ring_spy) == 4
         # ...and every segment was unlinked at teardown.
@@ -1071,7 +889,7 @@ class TestShmTransport:
             remote = self._sweep(
                 planetlab_small, tasks, servers, transport="socket"
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert ring_spy == []
 
     def test_attach_failure_nacks_and_falls_back_inline(
@@ -1101,7 +919,7 @@ class TestShmTransport:
             remote = self._sweep(
                 planetlab_small, tasks, servers, transport="shm"
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert len(ring_spy) == 4  # offered, nacked...
         assert not _shm_segments()  # ...and unlinked on the nack
 
@@ -1121,7 +939,7 @@ class TestShmTransport:
                 transport="shm",
                 shm_slot_bytes=8,
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert not _shm_segments()
 
     def test_worker_death_with_shm_requeues(self, planetlab_small):
@@ -1143,7 +961,7 @@ class TestShmTransport:
                         transport="shm",
                     ),
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert not _shm_segments()
 
 
@@ -1280,35 +1098,6 @@ class TestChunkBoard:
 # fallback (S3)
 # ----------------------------------------------------------------------
 class TestRobustnessSurfaces:
-    def test_v3_worker_gates_heartbeat_off_and_stays_identical(
-        self, planetlab_small
-    ):
-        """Heartbeats are feature-negotiated, never assumed.
-
-        A pre-v4 worker (``protocol_max=3``) cannot speak control
-        frames; a coordinator configured with an aggressive heartbeat
-        interval must leave liveness unarmed for that session rather
-        than time it out — and the sweep stays bit-identical.
-        """
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=3, seed=61
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(2, protocol_max=3) as servers:
-            executor = RemoteExecutor(
-                [server.address for server in servers],
-                heartbeat_interval=0.2,
-            )
-            remote = run_scenario_tasks(
-                planetlab_small, tasks, config=FAST, executor=executor
-            )
-        _assert_identical(serial, remote)
-        stats = executor.last_sweep_stats
-        assert stats.heartbeat_timeouts == 0
-        assert stats.worker_losses == 0
-
     @pytest.mark.skipif(
         not pathlib.Path("/dev/shm").is_dir(),
         reason="POSIX shared memory not mounted",
@@ -1334,7 +1123,7 @@ class TestRobustnessSurfaces:
             remote = run_scenario_tasks(
                 planetlab_small, tasks, config=FAST, executor=executor
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         stats = executor.last_sweep_stats
         assert stats.shm_sessions == 1
         assert stats.shm_inline_results > 0
@@ -1371,6 +1160,6 @@ class TestRobustnessSurfaces:
                 remote = run_scenario_tasks(
                     planetlab_small, tasks, config=FAST, executor=executor
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert executor.last_sweep_stats.shm_sessions == 0
         assert not _shm_segments()

@@ -1,6 +1,5 @@
-"""Protocol v4 wire codec: JSON frames, context/task codecs, rng specs."""
+"""The dist wire codec: JSON frames, context/task codecs, rng specs."""
 
-import contextlib
 import socket
 
 import numpy as np
@@ -10,7 +9,7 @@ from repro.core.correlation_algorithm import AlgorithmOptions
 from repro.eval.dist import (
     CodecError,
     ConnectionClosed,
-    MAGIC_V4,
+    MAGIC,
     ProtocolError,
     decode_context,
     decode_tasks,
@@ -30,23 +29,12 @@ from repro.utils.rng import (
     spawn_children,
 )
 
-
-@contextlib.contextmanager
-def _pipe():
-    left, right = socket.socketpair()
-    try:
-        yield left, right
-    finally:
-        left.close()
-        right.close()
+from dist_support import pipe
 
 
-# ----------------------------------------------------------------------
-# v4 framing (JSON header, binary payload)
-# ----------------------------------------------------------------------
 class TestJsonFraming:
     def test_round_trip_header_and_payload(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             payload = bytes(range(256)) * 64
             send_json_message(
                 left,
@@ -58,23 +46,23 @@ class TestJsonFraming:
         assert received == payload
 
     def test_round_trip_empty_payload(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             send_json_message(left, {"type": "end"})
             header, received = recv_json_message(right)
         assert header["type"] == "end"
         assert received == b""
 
     def test_header_is_utf8_json_not_pickle(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             send_json_message(left, {"type": "ready", "protocol": 4})
             magic = right.recv(4, socket.MSG_PEEK)
-            assert magic == MAGIC_V4
+            assert magic == MAGIC
             raw = right.recv(1 << 16)
         # Past the 20-byte prefix the header reads as plain JSON text.
         assert raw[20:].startswith(b'{"type":"ready"')
 
     def test_unencodable_header_raises_before_sending(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             with pytest.raises(TypeError):
                 send_json_message(left, {"type": "chunk", "bad": {1, 2}})
             left.close()
@@ -82,7 +70,7 @@ class TestJsonFraming:
                 recv_json_message(right)
 
     def test_legacy_magic_rejected_on_v4_receive(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             left.sendall(b"RTD1" + bytes(16))
             with pytest.raises(ProtocolError, match="magic"):
                 recv_json_message(right)
@@ -91,9 +79,9 @@ class TestJsonFraming:
         import struct
 
         blob = b"not json at all"
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             left.sendall(
-                struct.pack("!4sQQ", MAGIC_V4, len(blob), 0) + blob
+                struct.pack("!4sQQ", MAGIC, len(blob), 0) + blob
             )
             with pytest.raises(ProtocolError, match="malformed"):
                 recv_json_message(right)
@@ -102,16 +90,16 @@ class TestJsonFraming:
         import struct
 
         blob = b'["type","chunk"]'
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             left.sendall(
-                struct.pack("!4sQQ", MAGIC_V4, len(blob), 0) + blob
+                struct.pack("!4sQQ", MAGIC, len(blob), 0) + blob
             )
             with pytest.raises(ProtocolError, match="JSON object"):
                 recv_json_message(right)
 
 
 # ----------------------------------------------------------------------
-# Init-context codec
+# Sweep-context codec
 # ----------------------------------------------------------------------
 class TestContextCodec:
     def test_round_trip_preserves_fingerprint_and_dataclasses(

@@ -1,28 +1,23 @@
 """Wire security: shared-secret handshake, TLS, fail-closed semantics.
 
 The invariant every test here defends: when a secret (or TLS) is
-configured, nothing a peer sends is unpickled — header or payload —
-until the handshake proves the peer holds the same configuration, and
+configured, nothing a peer sends is parsed — header or payload — until
+the handshake proves the peer holds the same configuration, and
 every mismatch fails *closed* with a clean
 :class:`~repro.exceptions.DistSecurityError` instead of a hang, a
 traceback, or (worst) a silently-accepted session.
 """
 
-import contextlib
 import pickle
 import socket
 import struct
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.eval.dist import (
     AUTH_MAGIC,
-    AUTH_PROTOCOL_VERSION,
-    MAGIC,
-    PROTOCOL_BASE_VERSION,
     PROTOCOL_VERSION,
     AuthError,
     ConnectionClosed,
@@ -30,42 +25,49 @@ from repro.eval.dist import (
     ProtocolError,
     RemoteExecutor,
     TlsMismatchError,
-    WorkerServer,
     client_context,
     client_handshake,
     generate_self_signed,
     normalize_secret,
-    recv_message,
+    recv_json_message,
     resolve_secret,
-    send_message,
+    send_json_message,
     server_context,
     server_handshake,
 )
 from repro.eval.dist.auth import _HELLO_BODY, _send_auth, compute_mac
 from repro.eval.dist.auth import _HELLO as HELLO_KIND
 from repro.eval.dist.auth import _PROVE as PROVE_KIND
+from repro.eval.dist.auth import _REJECT as REJECT_KIND
+from repro.eval.dist.auth import _recv_auth
 from repro.eval.parallel import run_scenario_tasks, scenario_tasks
 from repro.simulate.experiment import ExperimentConfig
+
+from dist_support import assert_identical, pipe, worker_fleet
 
 FAST = ExperimentConfig(n_snapshots=120, packets_per_path=200)
 
 SECRET = b"a-test-fleet-token"
 
 
-@contextlib.contextmanager
-def _pipe():
-    left, right = socket.socketpair()
-    try:
-        yield left, right
-    finally:
-        left.close()
-        right.close()
+def _detonate(record):
+    record.append("unpickled")
+
+
+class _Detonator:
+    """Pickles to a payload whose loading would record a detonation."""
+
+    def __init__(self, record):
+        self.record = record
+
+    def __reduce__(self):
+        return (_detonate, (self.record,))
 
 
 def _handshake_pair(client_secret, server_secret):
     """Run both handshake halves over a socketpair; return outcomes."""
     outcome = {}
-    with _pipe() as (left, right):
+    with pipe() as (left, right):
 
         def server():
             try:
@@ -84,33 +86,6 @@ def _handshake_pair(client_secret, server_secret):
     return outcome
 
 
-@contextlib.contextmanager
-def worker_fleet(count=1, /, **kwargs):
-    kwargs.setdefault("max_sessions", 1)
-    servers = [WorkerServer(**kwargs) for _ in range(count)]
-    threads = [
-        threading.Thread(target=server.serve_forever, daemon=True)
-        for server in servers
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        yield servers
-    finally:
-        for server in servers:
-            server.close()
-        for thread in threads:
-            thread.join(timeout=10)
-
-
-def _assert_identical(reference, candidate):
-    assert len(reference) == len(candidate)
-    for errors_a, errors_b in zip(reference, candidate):
-        assert set(errors_a) == set(errors_b)
-        for name in errors_a:
-            assert np.array_equal(errors_a[name], errors_b[name])
-
-
 @pytest.fixture(scope="module")
 def tls_material(tmp_path_factory):
     directory = tmp_path_factory.mktemp("tls")
@@ -125,7 +100,6 @@ class TestHandshake:
         outcome = _handshake_pair(SECRET, SECRET)
         assert outcome["client"] == PROTOCOL_VERSION
         assert outcome["server"] == PROTOCOL_VERSION
-        assert outcome["client"] >= AUTH_PROTOCOL_VERSION
 
     def test_wrong_secret_rejected_both_sides(self):
         outcome = _handshake_pair(b"not-the-secret", SECRET)
@@ -145,7 +119,7 @@ class TestHandshake:
 
     def test_truncated_handshake_frame_is_protocol_error(self):
         """A hello that stops mid-body tears cleanly, never hangs."""
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             # Magic + kind + a length promising more body than we send.
             left.sendall(
                 struct.pack("!4sBI", AUTH_MAGIC, HELLO_KIND, 20)
@@ -156,7 +130,7 @@ class TestHandshake:
                 server_handshake(right, SECRET)
 
     def test_oversized_auth_body_rejected(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             left.sendall(
                 struct.pack("!4sBI", AUTH_MAGIC, HELLO_KIND, 1 << 20)
             )
@@ -164,19 +138,19 @@ class TestHandshake:
                 server_handshake(right, SECRET)
 
     def test_legacy_frame_answering_auth_is_auth_error(self):
-        """A peer speaking pickled frames at the auth layer is refused
-        without parsing (unpickling) anything it sent."""
-        with _pipe() as (left, right):
-            send_message(left, {"type": "ready", "protocol": 1})
-            with pytest.raises(AuthError, match="legacy"):
-                server_handshake(right, SECRET)
+        """A worker answering the auth hello with a session frame (its
+        refusal) is an auth error, and the frame is not parsed."""
+        with pipe() as (left, right):
+            send_json_message(right, {"type": "error", "error": "x"})
+            with pytest.raises(AuthError, match="session frame"):
+                client_handshake(left, SECRET)
 
     def test_replayed_handshake_rejected(self):
         """Nonce reuse: a recorded transcript fails against the fresh
         challenge of a new connection."""
         # First, a legitimate exchange whose client frames we keep.
         recorded = {}
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
 
             def server():
                 recorded["version"] = server_handshake(right, SECRET)
@@ -189,8 +163,6 @@ class TestHandshake:
                 HELLO_KIND,
                 _HELLO_BODY.pack(nonce_c, PROTOCOL_VERSION),
             )
-            from repro.eval.dist.auth import _recv_auth
-
             kind, body = _recv_auth(left)
             nonce_w, _ = _HELLO_BODY.unpack(body)
             proof = compute_mac(
@@ -202,7 +174,7 @@ class TestHandshake:
             assert recorded["version"] == PROTOCOL_VERSION
         # Replay the identical hello + proof on a new connection: the
         # server's nonce is fresh, so the recorded proof must fail.
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             outcome = {}
 
             def replay_target():
@@ -222,9 +194,7 @@ class TestHandshake:
             _send_auth(left, PROVE_KIND, proof)  # the *recorded* proof
             kind, body = _recv_auth(left)
             thread.join(timeout=10)
-        from repro.eval.dist.auth import _REJECT
-
-        assert kind == _REJECT
+        assert kind == REJECT_KIND
         assert isinstance(outcome["error"], AuthError)
 
     def test_mac_binds_negotiated_version(self):
@@ -234,15 +204,22 @@ class TestHandshake:
         ) != compute_mac(SECRET, b"C", b"\x01" * 16, b"\x02" * 16, 2)
 
     def test_pre_v3_peer_cannot_authenticate(self):
-        """An auth hello advertising only v2 is refused outright."""
-        with _pipe() as (left, right):
-            _send_auth(
-                left,
-                HELLO_KIND,
-                _HELLO_BODY.pack(b"\x03" * 16, AUTH_PROTOCOL_VERSION - 1),
-            )
-            with pytest.raises(AuthError, match="predates"):
-                server_handshake(right, SECRET)
+        """An auth hello naming any other version is refused, and the
+        rejection tells the peer why."""
+        for version in (PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
+            with pipe() as (left, right):
+                _send_auth(
+                    left,
+                    HELLO_KIND,
+                    _HELLO_BODY.pack(b"\x03" * 16, version),
+                )
+                with pytest.raises(AuthError, match="version mismatch"):
+                    server_handshake(right, SECRET)
+                kind, body = _recv_auth(left)
+            assert kind == REJECT_KIND
+            reason = body.decode("utf-8")
+            assert f"v{PROTOCOL_VERSION}" in reason
+            assert f"v{version}" in reason
 
 
 class TestSecretResolution:
@@ -273,31 +250,49 @@ class TestSecretResolution:
 # Worker-side fail-closed semantics
 # ----------------------------------------------------------------------
 class TestWorkerFailClosed:
-    def test_v2_peer_refused_before_payload_exchange(self):
-        """A legacy (v2) init against a secret-configured worker is
-        answered with a clean error frame — and neither the pickled
-        header nor the payload is ever read, proven by sending bytes
-        that would raise if unpickled."""
-        poison = b"\x80\x04not a pickle at all"
-        with worker_fleet(1, secret=SECRET) as servers:
-            sock = socket.create_connection(
-                (servers[0].host, servers[0].port), timeout=5
-            )
-            try:
-                # A hand-built v2 init whose header *and* payload are
-                # poisoned: a worker that touched either would blow up
-                # before replying.
-                sock.sendall(
-                    struct.pack("!4sQQ", MAGIC, len(poison), len(poison))
-                    + poison
-                    + poison
+    def test_v2_peer_refused_before_payload_exchange(self, planetlab_small):
+        """A frame from a build with another wire — here one whose
+        header is a pickle that would detonate if loaded — gets exactly
+        one error frame of this wire naming the version, with and
+        without a worker secret; nothing is deserialized, and the
+        worker goes on to serve the next session."""
+        detonated = []
+        poison = pickle.dumps(_Detonator(detonated))
+        frame = struct.pack("!4sQQ", b"RTD1", len(poison), 0) + poison
+        tasks = scenario_tasks(
+            "clustered", {"congested_fraction": 0.1}, n_trials=2, seed=60
+        )
+        serial = run_scenario_tasks(
+            planetlab_small, tasks, config=FAST, workers=1
+        )
+        for secret in (None, SECRET):
+            with worker_fleet(1, secret=secret, max_sessions=2) as servers:
+                sock = socket.create_connection(
+                    (servers[0].host, servers[0].port), timeout=5
                 )
-                header, _ = recv_message(sock)
-            finally:
-                sock.close()
-        assert header["type"] == "error"
-        assert header["error"] == "auth-required"
-        assert "shared-secret" in header["message"]
+                try:
+                    sock.sendall(frame)
+                    header, _ = recv_json_message(sock)
+                    with pytest.raises(ConnectionClosed):
+                        recv_json_message(sock)
+                finally:
+                    sock.close()
+                remote = run_scenario_tasks(
+                    planetlab_small,
+                    tasks,
+                    config=FAST,
+                    executor=RemoteExecutor(
+                        [servers[0].address], secret=secret
+                    ),
+                )
+            assert header["type"] == "error"
+            assert header["error"] == (
+                "protocol-mismatch" if secret is None else "auth-required"
+            )
+            assert header["protocol"] == PROTOCOL_VERSION
+            assert f"v{PROTOCOL_VERSION}" in header["message"]
+            assert_identical(serial, remote)
+        assert detonated == []
 
     def test_wrong_secret_refused_before_unpickling(self):
         """The handshake fails before any frame beyond auth is read."""
@@ -344,7 +339,7 @@ class TestWorkerFailClosed:
                 config=FAST,
                 executor=RemoteExecutor([address], secret=SECRET),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_secret_on_coordinator_only_fails_closed(
         self, planetlab_small
@@ -436,7 +431,7 @@ class TestWorkerFailClosed:
                     [servers[0].address], secret=SECRET
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +454,7 @@ class TestSecuredSweeps:
                     [server.address for server in servers], secret=SECRET
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_tls_and_secret_sweep_bit_identical(
         self, planetlab_small, tls_material
@@ -487,7 +482,7 @@ class TestSecuredSweeps:
                     ssl_context=client_context(cafile=tls_material.cert),
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_tls_capacity_worker_bit_identical(
         self, planetlab_small, tls_material
@@ -517,7 +512,7 @@ class TestSecuredSweeps:
                     ssl_context=client_context(cafile=tls_material.cert),
                 ),
             )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
     def test_plaintext_coordinator_refused_by_tls_worker(
         self, planetlab_small, tls_material
@@ -581,7 +576,7 @@ class TestSecuredSweeps:
                         [good[0].address, bad[0].address], secret=SECRET
                     ),
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
 
 
 class TestCerts:
@@ -603,38 +598,38 @@ class TestCerts:
     def test_bad_magic_for_tls_record_names_tls(self):
         from repro.eval.dist.protocol import bad_magic_error
 
-        error = bad_magic_error(b"\x16\x03\x01\x00", "RTD1")
+        error = bad_magic_error(b"\x16\x03\x01\x00", "RTD4")
         assert isinstance(error, TlsMismatchError)
         assert "TLS" in str(error)
 
 
 class TestConnectionClosedPaths:
     def test_client_handshake_against_closed_socket(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             right.close()
             with pytest.raises((AuthError, ProtocolError, OSError)):
                 client_handshake(left, SECRET)
 
     def test_client_reports_pre_v3_worker_as_auth_error(self):
-        """An old worker drops the auth hello (bad magic on its side);
-        the coordinator names the likely cause instead of a bare EOF."""
-        with _pipe() as (left, right):
+        """A peer that drops the auth hello (bad magic on its side)
+        makes the coordinator name the likely cause, not a bare EOF."""
+        with pipe() as (left, right):
 
-            def old_worker():
+            def other_wire_worker():
                 try:
-                    recv_message(right)  # chokes on the auth magic
+                    recv_json_message(right)  # chokes on the auth magic
                 except ProtocolError:
                     pass
                 right.close()
 
-            thread = threading.Thread(target=old_worker)
+            thread = threading.Thread(target=other_wire_worker)
             thread.start()
-            with pytest.raises(AuthError, match="pre-v3"):
+            with pytest.raises(AuthError, match="another wire"):
                 client_handshake(left, SECRET)
             thread.join(timeout=10)
 
     def test_connection_closed_is_still_clean_eof(self):
-        with _pipe() as (left, right):
+        with pipe() as (left, right):
             left.close()
             with pytest.raises(ConnectionClosed):
-                recv_message(right)
+                recv_json_message(right)

@@ -9,13 +9,10 @@ frames are worker sends, ``chunk``/``ping``/``context`` frames are
 coordinator sends.
 """
 
-import contextlib
 import os
 import pathlib
-import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.eval.dist import (
@@ -23,42 +20,16 @@ from repro.eval.dist import (
     FaultSpecError,
     LocalLauncher,
     RemoteExecutor,
-    WorkerServer,
     faults,
 )
 from repro.eval.parallel import run_scenario_tasks, scenario_tasks
 from repro.simulate.experiment import ExperimentConfig
 
+from dist_support import assert_identical, worker_fleet
+
 FAST = ExperimentConfig(n_snapshots=120, packets_per_path=200)
 
 pytestmark = pytest.mark.timeout(120)
-
-
-@contextlib.contextmanager
-def worker_fleet(count=2, /, **kwargs):
-    kwargs.setdefault("max_sessions", 1)
-    servers = [WorkerServer(**kwargs) for _ in range(count)]
-    threads = [
-        threading.Thread(target=server.serve_forever, daemon=True)
-        for server in servers
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        yield servers
-    finally:
-        for server in servers:
-            server.close()
-        for thread in threads:
-            thread.join(timeout=10)
-
-
-def _assert_identical(reference, candidate):
-    assert len(reference) == len(candidate)
-    for errors_a, errors_b in zip(reference, candidate):
-        assert set(errors_a) == set(errors_b)
-        for name in errors_a:
-            assert np.array_equal(errors_a[name], errors_b[name])
 
 
 def _tasks(seed, n_trials=3):
@@ -146,7 +117,7 @@ class TestFrameFaults:
         remote, stats = self._chaos_sweep(
             planetlab_small, tasks, "frame-corrupt:type=result:nth=1"
         )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert stats.worker_losses >= 1
         assert stats.requeued_chunks >= 1
 
@@ -158,7 +129,7 @@ class TestFrameFaults:
         remote, stats = self._chaos_sweep(
             planetlab_small, tasks, "frame-truncate:type=result:nth=1"
         )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert stats.worker_losses >= 1
 
     def test_corrupt_chunk_frame_survives_worker_side_validation(
@@ -172,7 +143,7 @@ class TestFrameFaults:
         remote, stats = self._chaos_sweep(
             planetlab_small, tasks, "frame-corrupt:type=chunk:nth=1"
         )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert stats.requeued_chunks >= 1
 
     def test_dropped_result_frame_hits_the_chunk_deadline(
@@ -190,7 +161,7 @@ class TestFrameFaults:
             chunk_deadline=1.0,
         )
         elapsed = time.monotonic() - started
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert stats.deadline_timeouts >= 1
         assert stats.requeued_chunks >= 1
         assert elapsed < 60
@@ -209,7 +180,7 @@ class TestConnectFaults:
                 remote = run_scenario_tasks(
                     planetlab_small, tasks, config=FAST, executor=executor
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         stats = executor.last_sweep_stats
         assert stats.connect_retries >= 1
         assert stats.sessions == 1
@@ -229,7 +200,7 @@ class TestConnectFaults:
                 remote = run_scenario_tasks(
                     planetlab_small, tasks, config=FAST, executor=executor
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         stats = executor.last_sweep_stats
         assert stats.sessions == 0
         assert stats.serial_fallback_chunks == len(tasks)
@@ -260,7 +231,7 @@ class TestWorkerFaults:
                     planetlab_small, tasks, config=FAST, executor=executor
                 )
             elapsed = time.monotonic() - started
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         stats = executor.last_sweep_stats
         assert stats.heartbeat_timeouts >= 1
         assert stats.requeued_chunks >= 1
@@ -293,7 +264,7 @@ class TestWorkerFaults:
                     planetlab_small, tasks, config=FAST, executor=executor
                 )
             elapsed = time.monotonic() - started
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         stats = executor.last_sweep_stats
         assert stats.deadline_timeouts >= 1
         assert elapsed < stall
@@ -314,7 +285,7 @@ class TestWorkerFaults:
                 remote = run_scenario_tasks(
                     planetlab_small, tasks, config=FAST, executor=executor
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert executor.last_sweep_stats.serial_fallback_chunks >= 1
 
 
@@ -340,7 +311,7 @@ class TestShmFaults:
                 remote = run_scenario_tasks(
                     planetlab_small, tasks, config=FAST, executor=executor
                 )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         stats = executor.last_sweep_stats
         assert stats.shm_sessions >= 1
         assert stats.worker_losses >= 1
@@ -381,7 +352,7 @@ class TestRealProcessFaults:
             elapsed = time.monotonic() - started
         finally:
             launcher.shutdown()
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         stats = executor.last_sweep_stats
         assert stats.heartbeat_timeouts >= 1
         assert stats.serial_fallback_chunks >= 1

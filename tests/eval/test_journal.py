@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from repro.eval.dist import (
@@ -17,6 +16,8 @@ from repro.eval.dist import (
 from repro.eval.parallel import run_scenario_tasks, scenario_tasks
 from repro.simulate.experiment import ExperimentConfig
 
+from dist_support import assert_identical
+
 FAST = ExperimentConfig(n_snapshots=120, packets_per_path=200)
 
 pytestmark = pytest.mark.timeout(120)
@@ -26,14 +27,6 @@ def _tasks(seed, n_trials=3):
     return scenario_tasks(
         "clustered", {"congested_fraction": 0.1}, n_trials=n_trials, seed=seed
     )
-
-
-def _assert_identical(reference, candidate):
-    assert len(reference) == len(candidate)
-    for errors_a, errors_b in zip(reference, candidate):
-        assert set(errors_a) == set(errors_b)
-        for name in errors_a:
-            assert np.array_equal(errors_a[name], errors_b[name])
 
 
 def _execution_counter(monkeypatch):
@@ -75,7 +68,7 @@ class TestJournalReplay:
         )
         assert executed == []
         # ...and the replayed results are the originals, bit for bit.
-        _assert_identical(first, resumed)
+        assert_identical(first, resumed)
 
     def test_partial_journal_recomputes_only_the_missing_tail(
         self, planetlab_small, tmp_path, monkeypatch
@@ -124,7 +117,7 @@ class TestJournalReplay:
             journal=SweepJournal(path, resume=True),
         )
         assert len(executed) == 2  # only the truncated-away tail
-        _assert_identical(serial, resumed)
+        assert_identical(serial, resumed)
 
     def test_torn_tail_is_healed_and_appended_over(
         self, planetlab_small, tmp_path

@@ -18,6 +18,8 @@ from repro.eval.dist import (
 from repro.eval.parallel import run_scenario_tasks, scenario_tasks
 from repro.simulate.experiment import ExperimentConfig
 
+from dist_support import assert_identical
+
 FAST = ExperimentConfig(n_snapshots=120, packets_per_path=200)
 
 
@@ -32,16 +34,6 @@ def _assert_gone(pids, timeout=20.0):
             if time.monotonic() > deadline:
                 pytest.fail(f"worker process {pid} still alive")
             time.sleep(0.05)
-
-
-def _assert_identical(reference, candidate):
-    import numpy as np
-
-    assert len(reference) == len(candidate)
-    for errors_a, errors_b in zip(reference, candidate):
-        assert set(errors_a) == set(errors_b)
-        for name in errors_a:
-            assert np.array_equal(errors_a[name], errors_b[name])
 
 
 class TestLocalLauncher:
@@ -118,7 +110,7 @@ class TestLocalLauncher:
             config=FAST,
             executor=RemoteExecutor(launcher=launcher),
         )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         # map_chunks' finally tore the fleet down even though nothing
         # failed; the launcher owns no processes any more.
         assert launcher.workers == []
@@ -344,7 +336,7 @@ class TestLocalLauncherSecurity:
                 launcher=launcher, secret="env-fleet-token"
             ),
         )
-        _assert_identical(serial, remote)
+        assert_identical(serial, remote)
         assert launcher.workers == []
 
 
