@@ -7,9 +7,9 @@ fail.  This shim lets ``pip install -e .`` fall back to the classic
 
 Dependency floors: the batch estimator kernels need
 ``numpy.packbits(..., bitorder=...)`` and the ``Generator`` /
-``SeedSequence`` API (numpy >= 1.20), and the L1 solver needs
-``scipy.optimize.linprog(method="highs")`` with sparse constraint
-matrices (scipy >= 1.6).
+``SeedSequence`` API (numpy >= 1.20), and the L1 solver calls HiGHS
+through the pybind binding ``scipy.optimize._highspy._core``
+(scipy >= 1.17, the oldest release this package is tested with).
 """
 
 import pathlib
@@ -39,7 +39,7 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.20",
-        "scipy>=1.6",
+        "scipy>=1.17",
         "networkx>=2.6",
     ],
     entry_points={

@@ -8,9 +8,9 @@ program
     minimize   ‖R x − y‖₁
     subject to x ≤ 0
 
-solved with scipy's HiGHS backend.  A bounded least-squares alternative is
-provided for ablation (:func:`solve_bounded_least_squares`) along with an
-automatic chooser.
+solved by HiGHS.  A bounded least-squares alternative is provided for
+ablation (:func:`solve_bounded_least_squares`) along with an automatic
+chooser.
 
 Every solver accepts ``R`` either dense (:class:`numpy.ndarray`) or sparse
 (any :mod:`scipy.sparse` matrix).  Sparse inputs — the native output of
@@ -18,15 +18,30 @@ Every solver accepts ``R`` either dense (:class:`numpy.ndarray`) or sparse
 LP without a densify round-trip.  The LP lift of a fixed ``R`` is an
 :class:`L1Program`, built once and solved for many ``y``;
 :func:`solve_l1` is the one-shot wrapper over the same object.
+
+:meth:`L1Program.solve` is the package's one call into HiGHS, through the
+pybind binding scipy ships (``scipy.optimize._highspy._core``).  The
+lifted matrix, bounds and objective are converted once per program, and
+a solve fills only the right-hand side.  HiGHS gets the same model and
+the same single option (no console log) as from scipy's own LP front
+ends, so the answers are bit-identical to theirs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, lsq_linear, milp
+from scipy.optimize import lsq_linear
 
 from repro.exceptions import SolverError
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # pragma: no cover - depends on the install
+    raise ImportError(
+        "repro needs scipy >= 1.17: the L1 solver calls HiGHS through "
+        "scipy.optimize._highspy._core"
+    ) from exc
 
 __all__ = [
     "L1Program",
@@ -79,6 +94,11 @@ class L1Program:
     equation) are pinned to 0 so the LP does not wander on free
     variables.  The constraint matrix, bounds and objective depend on
     ``R`` alone and are built once; :meth:`solve` only fills ``y``.
+
+    A program is safe to share across threads: the prebuilt HiGHS
+    objects are only ever copied from, and every solve runs on its own
+    model and solver.  No solve is warm-started from another, which
+    could settle on a different vertex of a non-unique optimum.
     """
 
     def __init__(self, matrix, *, upper_bound: float = 0.0) -> None:
@@ -99,30 +119,57 @@ class L1Program:
         upper = np.full(n_cols + n_rows, np.inf)
         lower[:n_cols] = np.where(covered, -np.inf, 0.0)
         upper[:n_cols] = np.where(covered, upper_bound, 0.0)
+        # The binding copies numpy arrays into the sparse matrix element
+        # by element; lists convert several times faster.
+        lp_matrix = _highs.HighsSparseMatrix()
+        lp_matrix.format_ = _highs.MatrixFormat.kColwise
+        lp_matrix.num_row_, lp_matrix.num_col_ = constraint.shape
+        lp_matrix.start_ = constraint.indptr.tolist()
+        lp_matrix.index_ = constraint.indices.tolist()
+        lp_matrix.value_ = constraint.data.tolist()
+        options = _highs.HighsOptions()
+        options.log_to_console = False
         self.matrix = matrix
         self.upper_bound = upper_bound
         self.shape = (n_rows, n_cols)
-        self._constraint = constraint
-        self._row_lower = np.full(2 * n_rows, -np.inf)
-        self._bounds = Bounds(lower, upper)
+        self._lp_matrix = lp_matrix
+        self._options = options
+        self._col_lower = lower
+        self._col_upper = upper
         self._objective = np.concatenate([np.zeros(n_cols), np.ones(n_rows)])
+        self._row_lower = np.full(2 * n_rows, -np.inf)
+        self._integrality = [_highs.HighsVarType.kContinuous] * (
+            n_cols + n_rows
+        )
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """The L1-optimal ``x`` for one right-hand side ``y``."""
         n_rows, n_cols = self.shape
         values = _as_values(values, n_rows)
-        result = milp(
-            self._objective,
-            bounds=self._bounds,
-            constraints=LinearConstraint(
-                self._constraint,
-                self._row_lower,
-                np.concatenate([values, -values]),
-            ),
-        )
-        if not result.success:
-            raise SolverError(f"L1 linear program failed: {result.message}")
-        return result.x[:n_cols]
+        lp = _highs.HighsLp()
+        lp.num_row_, lp.num_col_ = 2 * n_rows, n_cols + n_rows
+        lp.a_matrix_ = self._lp_matrix
+        lp.col_cost_ = self._objective
+        lp.col_lower_ = self._col_lower
+        lp.col_upper_ = self._col_upper
+        lp.row_lower_ = self._row_lower
+        lp.row_upper_ = np.concatenate([values, -values])
+        lp.integrality_ = self._integrality
+        highs = _highs._Highs()
+        error = _highs.HighsStatus.kError
+        if highs.passOptions(self._options) == error:
+            raise SolverError("L1 linear program failed: bad HiGHS options")
+        # HiGHS rejects a NaN or infinite y here; running such a model
+        # anyway crashes the interpreter.
+        if highs.passModel(lp) == error:
+            raise SolverError("L1 linear program failed: model error")
+        if (
+            highs.run() == error
+            or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal
+        ):
+            status = highs.modelStatusToString(highs.getModelStatus())
+            raise SolverError(f"L1 linear program failed: {status}")
+        return np.array(highs.getSolution().col_value[:n_cols])
 
 
 def solve_l1(

@@ -18,8 +18,10 @@ POST       ``/topologies/<fp>/stream``        Window uploads → chunked deltas
 =========  =================================  ===================================
 
 Status mapping: bad payloads → 400, unknown topology/path → 404, store
-at capacity → 409, batcher queue full (backpressure) → 429, shutting
-down → 503.  Query execution itself happens on a worker thread through
+at capacity → 409, a request line or header line longer than
+:data:`MAX_LINE_BYTES` → 414 or 431 (then the connection closes),
+batcher queue full (backpressure) → 429, shutting down → 503.  Query
+execution itself happens on a worker thread through
 :func:`repro.eval.parallel.run_scenario_tasks`, so answers are
 bit-identical to the batch CLI's for the same seeds.
 """
@@ -44,11 +46,34 @@ __all__ = ["TomographyService", "serve_forever"]
 #: largest legitimate payload; anything bigger is a client bug).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Upper bound on the request line and on each header line (asyncio's
+#: default stream limit, named here so the refusals can state it).
+MAX_LINE_BYTES = 64 * 1024
+
+#: How long a refused connection keeps reading (and discarding) what the
+#: peer is still sending before it closes.
+_LINGER_SECONDS = 1.0
+
 
 class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+async def _read_line(reader, status: int, what: str) -> bytes:
+    """One line of the request head; an over-long one is refused."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's LimitOverrunError, re-raised
+        raise _HttpError(
+            status, f"{what} exceeds {MAX_LINE_BYTES} bytes"
+        ) from None
+
+
+async def _discard(reader) -> None:
+    while await reader.read(MAX_LINE_BYTES):
+        pass
 
 
 _REASONS = {
@@ -59,7 +84,9 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -165,7 +192,8 @@ class TomographyService:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -184,7 +212,7 @@ class TomographyService:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                request_line = await reader.readline()
+                request_line = await _read_line(reader, 414, "request line")
                 if not request_line:
                     break
                 try:
@@ -198,7 +226,7 @@ class TomographyService:
                     break
                 headers = {}
                 while True:
-                    line = await reader.readline()
+                    line = await _read_line(reader, 431, "header line")
                     if line in (b"\r\n", b"\n", b""):
                         break
                     name, _, value = line.decode("latin-1").partition(":")
@@ -248,6 +276,21 @@ class TomographyService:
                 )
                 if not keep_alive:
                     break
+        except _HttpError as exc:
+            # A request head too long to read: answer once, then close.
+            # Closing with the rest of the request unread would reset
+            # the connection, which can destroy the answer before the
+            # peer reads it; so half-close and drain for a bounded time.
+            try:
+                await self._respond(writer, exc.status, {"error": str(exc)})
+                writer.write_eof()
+                await asyncio.wait_for(_discard(reader), _LINGER_SECONDS)
+            except (
+                asyncio.TimeoutError,
+                ConnectionResetError,
+                BrokenPipeError,
+            ):
+                pass
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,

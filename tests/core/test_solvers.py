@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.solvers import (
+    L1Program,
     solve,
     solve_bounded_least_squares,
     solve_l1,
@@ -117,3 +118,22 @@ class TestDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(SolverError, match="unknown solver"):
             solve(np.array([[1.0]]), np.array([-1.0]), method="magic")
+
+
+class TestHighsFailures:
+    """A right-hand side HiGHS refuses is a clean error, never a crash."""
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+    )
+    def test_non_finite_y_raises_and_auto_falls_back(self, bad):
+        matrix = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        program = L1Program(matrix)
+        values = np.array([-0.5, bad, -0.3])
+        with pytest.raises(SolverError):
+            program.solve(values)
+        with pytest.raises(SolverError):
+            solve_l1(matrix, values)
+        for lifted in (matrix, program):
+            _, used = solve(lifted, values, method="auto")
+            assert used == "least_squares"

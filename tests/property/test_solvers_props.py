@@ -1,6 +1,10 @@
 """Property-based optimality checks for the solvers."""
 
+import sys
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -157,3 +161,86 @@ def test_cached_program_is_bitwise_the_linprog_lift(system):
         expected = linprog_reference(matrix, values)
         assert program.solve(values).tobytes() == expected.tobytes()
         assert solve_l1(matrix, values).tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def brite_template_system():
+    """The small-scale BRITE template's program and simulated ``y``s.
+
+    A real-sized lift (361 x 450 ``R``) next to the hypothesis systems,
+    which stay at most 24 x 20.
+    """
+    from repro.core.streaming import EquationTemplate
+    from repro.eval.figures import default_instance
+    from repro.eval.scenario import make_clustered_scenario
+    from repro.simulate.experiment import ExperimentConfig, run_experiment
+
+    instance = default_instance("brite", scale="small")
+    template = EquationTemplate.build(
+        instance.topology, instance.correlation
+    )
+    right_hand_sides = []
+    for seed in range(3):
+        scenario = make_clustered_scenario(
+            instance, congested_fraction=0.1, seed=seed
+        )
+        run = run_experiment(
+            instance.topology,
+            scenario.truth_model,
+            config=ExperimentConfig(n_snapshots=300, packets_per_path=800),
+            seed=100 + seed,
+        )
+        right_hand_sides.append(template.values(run.observations))
+    return template.program, right_hand_sides
+
+
+def test_real_template_program_is_bitwise_the_linprog_lift(
+    brite_template_system,
+):
+    program, right_hand_sides = brite_template_system
+    assert program.shape == (361, 450)
+    for values in right_hand_sides:
+        expected = linprog_reference(program.matrix, values)
+        assert program.solve(values).tobytes() == expected.tobytes()
+
+
+def test_shared_program_solves_identically_across_threads(
+    brite_template_system,
+):
+    """Four threads solve one shared program at once, with a short
+    switch interval: every answer is the serial answer, byte for byte."""
+    program, right_hand_sides = brite_template_system
+    serial = [program.solve(values).tobytes() for values in right_hand_sides]
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    answers, errors = {}, []
+
+    def solve_all(slot: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            answers[slot] = [
+                program.solve(values).tobytes()
+                for _ in range(2)
+                for values in right_hand_sides
+            ]
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=solve_all, args=(slot,))
+        for slot in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(answers) == n_threads
+    for answer in answers.values():
+        assert answer == serial * 2

@@ -22,7 +22,7 @@ import pytest
 from repro.serve.client import ServiceClient, ServiceError
 from repro.serve.queries import decode_vectors, run_query
 from repro.serve.registry import instance_from_payload
-from repro.serve.server import TomographyService
+from repro.serve.server import MAX_LINE_BYTES, TomographyService
 
 GENERATOR = {
     "kind": "brite",
@@ -176,6 +176,33 @@ class TestEndpoints:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400")
         assert json.loads(body) == {"error": "bad Content-Length"}
+        assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "request_head, status, what",
+        [
+            (b"GET /" + b"a" * 200_000 + b" HTTP/1.1\r\n\r\n",
+             414, "request line"),
+            (b"GET /health HTTP/1.1\r\nX-Big: " + b"a" * 200_000
+             + b"\r\n\r\n", 431, "header line"),
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_oversized_head_line_gets_one_json_answer(
+        self, harness, client, request_head, status, what
+    ):
+        with socket.create_connection(
+            ("127.0.0.1", harness.service.port), timeout=10
+        ) as raw:
+            raw.sendall(request_head)
+            reply = b""
+            while chunk := raw.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert json.loads(body) == {
+            "error": f"{what} exceeds {MAX_LINE_BYTES} bytes"
+        }
         assert client.health()["status"] == "ok"
 
 
