@@ -386,15 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest coalesced query batch per topology",
     )
     serve.add_argument(
-        "--flush-interval",
-        type=_numeric_flag(
-            "flush-interval", float, minimum=0, hint=">= 0 seconds"
-        ),
-        default=0.005,
-        metavar="SECONDS",
-        help="how long a non-full batch waits for stragglers",
-    )
-    serve.add_argument(
         "--max-pending",
         type=_numeric_flag("max-pending", int, minimum=1, hint=">= 1"),
         default=64,
@@ -1826,7 +1817,6 @@ def _run_serve(args) -> int:
         max_topologies=args.max_topologies,
         workers=args.workers,
         batch_max=args.batch_max,
-        flush_interval=args.flush_interval,
         max_pending=args.max_pending,
         cache=_make_cache(args),
     )

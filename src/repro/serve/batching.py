@@ -1,12 +1,13 @@
 """Per-topology request batching with bounded-queue backpressure.
 
-Concurrent queries against one topology are coalesced into batches: the
-dispatcher takes the first waiting job, then keeps collecting until
-either ``batch_max`` jobs are in hand or ``flush_interval`` seconds have
-passed since the batch opened, and hands the whole batch to the
-injected ``run_batch`` callable on a worker thread.  One batch is in
-flight per batcher at a time, so the executor underneath sees chunky,
-ordered work instead of a stampede of single-task calls.
+Batching is arrival-driven: an idle dispatcher hands whatever is
+queued (up to ``batch_max`` jobs) to the injected ``run_batch``
+callable on a worker thread at once, with no timer.  One batch is in
+flight per batcher at a time, so queries that arrive meanwhile wait in
+the queue and form the next batch.  A lone query therefore never waits
+for company, and under load the backlog that builds during each batch
+is what coalesces — the executor underneath sees ordered work in
+chunks as large as the load makes them.
 
 Backpressure is a bounded queue: when ``max_pending`` jobs are already
 waiting, :meth:`QueryBatcher.submit` raises :class:`BatcherFull`
@@ -42,16 +43,15 @@ class _Job:
 
 
 class QueryBatcher:
-    """Coalesce concurrent submissions into bounded batches.
+    """Coalesce queued submissions into bounded, single-flight batches.
 
     Args:
         run_batch: Blocking callable executed on a worker thread with the
             list of batched payloads; must return one result per payload
             in order.  An exception fails every job in that batch (jobs
             in *other* batches are unaffected).
-        batch_max: Largest batch handed to ``run_batch``.
-        flush_interval: Seconds a non-full batch waits for stragglers
-            after its first job arrived.
+        batch_max: Largest batch handed to ``run_batch``; an idle
+            dispatcher takes up to this many queued jobs at once.
         max_pending: Bound on jobs waiting to be batched; submissions
             beyond it shed with :class:`BatcherFull`.
     """
@@ -61,20 +61,14 @@ class QueryBatcher:
         run_batch,
         *,
         batch_max: int = 8,
-        flush_interval: float = 0.005,
         max_pending: int = 64,
     ) -> None:
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if flush_interval < 0:
-            raise ValueError(
-                f"flush_interval must be >= 0, got {flush_interval}"
-            )
         self._run_batch = run_batch
         self._batch_max = batch_max
-        self._flush_interval = flush_interval
         self._queue: asyncio.Queue[_Job] = asyncio.Queue(maxsize=max_pending)
         self._closed = False
         self._dispatcher: asyncio.Task | None = None
@@ -116,25 +110,11 @@ class QueryBatcher:
 
     async def _collect_batch(self) -> list[_Job]:
         batch = [await self._queue.get()]
-        if self._flush_interval > 0:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self._flush_interval
-            while len(batch) < self._batch_max:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-        else:
-            while len(batch) < self._batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+        while len(batch) < self._batch_max:
+            try:
+                batch.append(self._queue.get_nowait())
+            except asyncio.QueueEmpty:
+                break
         return batch
 
     async def _dispatch_loop(self) -> None:

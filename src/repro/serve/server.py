@@ -101,8 +101,9 @@ class TomographyService:
         max_topologies: Topology-store capacity.
         workers: Engine worker knob per batch (1 = in-process serial;
             larger values use a local process pool per batch).
-        batch_max / flush_interval / max_pending: Batcher knobs (see
-            :class:`repro.serve.batching.QueryBatcher`).
+        batch_max / max_pending: Batcher knobs (see
+            :class:`repro.serve.batching.QueryBatcher`; batches are
+            dispatched on arrival, with no flush timer).
         options: :class:`repro.core.correlation_algorithm.AlgorithmOptions`
             shared by every query (must match the batch CLI's for
             bit-identical answers).
@@ -118,7 +119,6 @@ class TomographyService:
         max_topologies: int = 4,
         workers: int | None = 1,
         batch_max: int = 8,
-        flush_interval: float = 0.005,
         max_pending: int = 64,
         options=None,
         cache=None,
@@ -129,12 +129,14 @@ class TomographyService:
         self.options = options
         self.cache = cache
         self._batcher_knobs = dict(
-            batch_max=batch_max,
-            flush_interval=flush_interval,
-            max_pending=max_pending,
+            batch_max=batch_max, max_pending=max_pending
         )
         self.store = TopologyStore(max_topologies=max_topologies)
         self._server: asyncio.AbstractServer | None = None
+        # Live connection handlers and their writers, so shutdown can
+        # end idle keep-alive connections instead of leaving their tasks
+        # to be cancelled (which logs a traceback).
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._closing = False
         self._started_at = time.time()
 
@@ -198,18 +200,30 @@ class TomographyService:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain batchers (pending queries fail 503)."""
+        """Stop accepting, drain batchers (pending queries fail 503),
+        then close every live connection and let its handler finish."""
         self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for entry in self.store.entries():
             await entry.batcher.close()
+        # One loop turn lets handlers woken by the failed queries write
+        # their 503s before the connections close under them.
+        await asyncio.sleep(0)
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        # Connections first: from Python 3.12.1 ``wait_closed`` also
+        # waits for them.
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 request_line = await _read_line(reader, 414, "request line")
@@ -303,6 +317,7 @@ class TomographyService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            del self._connections[task]
 
     async def _respond(
         self, writer, status: int, payload: dict, *, keep_alive: bool = False

@@ -1,4 +1,5 @@
-"""The docs stay honest: CLI.md covers every subcommand and env var.
+"""The docs stay honest: CLI.md covers every subcommand and env var,
+and documents no flag the parser does not have.
 
 The same invariants run in CI's ``docs-check`` step, so a new
 subcommand (or a renamed one) fails fast until its documentation
@@ -28,12 +29,27 @@ ENV_VARS = [
 ]
 
 
-def subcommands() -> list[str]:
+def subparsers() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return sorted(action.choices)
+            return dict(action.choices)
     raise AssertionError("no subparsers found on the CLI parser")
+
+
+def subcommands() -> list[str]:
+    return sorted(subparsers())
+
+
+def command_sections(cli_md: str) -> dict[str, str]:
+    """The body of each ``## `cmd` `` section, keyed by subcommand."""
+    parts = re.split(r"^## ", cli_md, flags=re.M)
+    sections = {}
+    for part in parts:
+        match = re.match(r"`([a-z0-9-]+)`", part)
+        if match:
+            sections[match.group(1)] = part
+    return sections
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +71,20 @@ class TestCliDoc:
         ghosts = [name for name in headings if name not in subcommands()]
         assert not ghosts, (
             f"docs/CLI.md documents nonexistent subcommand(s) {ghosts}"
+        )
+
+    def test_no_section_documents_a_ghost_flag(self, cli_md):
+        top_level = set(build_parser()._option_string_actions)
+        parsers = subparsers()
+        ghosts = []
+        for name, section in command_sections(cli_md).items():
+            known = top_level | set(parsers[name]._option_string_actions)
+            for span in re.findall(r"`([^`\n]+)`", section):
+                for flag in re.findall(r"(?<![\w-])--[a-z0-9-]+", span):
+                    if flag not in known:
+                        ghosts.append(f"{name}: {flag}")
+        assert not ghosts, (
+            f"docs/CLI.md documents nonexistent flag(s) {ghosts}"
         )
 
     def test_env_vars_are_documented(self, cli_md):

@@ -1,4 +1,4 @@
-"""QueryBatcher units: coalescing, flush-on-timeout, shed-on-full, close.
+"""QueryBatcher units: coalescing, arrival-driven dispatch, shed, close.
 
 ``run_batch`` is injected, so these observe batching behaviour directly
 without standing up the engine.  Each test runs a fresh event loop via
@@ -29,9 +29,7 @@ class TestCoalescing:
             return _echo_batch(payloads)
 
         async def scenario():
-            batcher = QueryBatcher(
-                run_batch, batch_max=4, flush_interval=0.05
-            )
+            batcher = QueryBatcher(run_batch, batch_max=4)
             results = await asyncio.gather(
                 *(batcher.submit(n) for n in range(8))
             )
@@ -54,9 +52,7 @@ class TestCoalescing:
             return _echo_batch(payloads)
 
         async def scenario():
-            batcher = QueryBatcher(
-                run_batch, batch_max=1, flush_interval=0.01
-            )
+            batcher = QueryBatcher(run_batch, batch_max=1)
             results = await asyncio.gather(
                 *(batcher.submit(n) for n in range(4))
             )
@@ -68,9 +64,7 @@ class TestCoalescing:
 
     def test_results_map_back_in_order(self):
         async def scenario():
-            batcher = QueryBatcher(
-                _echo_batch, batch_max=8, flush_interval=0.02
-            )
+            batcher = QueryBatcher(_echo_batch, batch_max=8)
             results = await asyncio.gather(
                 *(batcher.submit(n) for n in (5, 1, 9, 3))
             )
@@ -81,9 +75,7 @@ class TestCoalescing:
 
     def test_stats_track_batches(self):
         async def scenario():
-            batcher = QueryBatcher(
-                _echo_batch, batch_max=4, flush_interval=0.05
-            )
+            batcher = QueryBatcher(_echo_batch, batch_max=4)
             await asyncio.gather(*(batcher.submit(n) for n in range(6)))
             stats = dict(batcher.stats)
             await batcher.close()
@@ -96,33 +88,58 @@ class TestCoalescing:
         assert stats["shed"] == 0
 
 
-class TestFlushOnTimeout:
-    def test_single_job_flushes_without_filling_batch(self):
+class TestArrivalDriven:
+    def test_backlog_forms_the_next_batches(self):
+        """Jobs queued behind an in-flight batch dispatch together as
+        soon as it finishes, ``batch_max`` at a time."""
+        entered = threading.Event()
+        release = threading.Event()
+        sizes = []
+
+        def held_batch(payloads):
+            sizes.append(len(payloads))
+            entered.set()
+            release.wait(timeout=30)
+            return _echo_batch(payloads)
+
         async def scenario():
-            batcher = QueryBatcher(
-                _echo_batch, batch_max=64, flush_interval=0.02
+            batcher = QueryBatcher(held_batch, batch_max=4)
+            first = asyncio.ensure_future(batcher.submit(0))
+            await asyncio.get_running_loop().run_in_executor(
+                None, entered.wait, 5
             )
-            loop = asyncio.get_running_loop()
-            start = loop.time()
-            result = await batcher.submit(21)
-            elapsed = loop.time() - start
+            backlog = [
+                asyncio.ensure_future(batcher.submit(n)) for n in range(1, 7)
+            ]
+            while batcher.pending < 6:
+                await asyncio.sleep(0)
+            release.set()
+            results = await asyncio.gather(first, *backlog)
             await batcher.close()
-            return result, elapsed
+            return results
 
-        result, elapsed = asyncio.run(scenario())
-        assert result == 42
-        # Must not wait for a full batch that never comes; one flush
-        # interval (plus scheduling slack) is the ceiling.
-        assert elapsed < 1.0
+        assert asyncio.run(scenario()) == [n * 2 for n in range(7)]
+        assert sizes == [1, 4, 2]
 
-    def test_zero_flush_interval_dispatches_immediately(self):
+    def test_lone_job_on_idle_batcher_dispatches_alone(self):
+        sizes = []
+
+        def run_batch(payloads):
+            sizes.append(len(payloads))
+            return _echo_batch(payloads)
+
         async def scenario():
-            batcher = QueryBatcher(
-                _echo_batch, batch_max=64, flush_interval=0
-            )
-            return await batcher.submit(3)
+            batcher = QueryBatcher(run_batch, batch_max=64)
+            result = await batcher.submit(21)
+            stats = dict(batcher.stats)
+            await batcher.close()
+            return result, stats
 
-        assert asyncio.run(scenario()) == 6
+        result, stats = asyncio.run(scenario())
+        assert result == 42
+        assert sizes == [1]
+        assert stats["batches"] == 1
+        assert stats["max_batch"] == 1
 
 
 class TestShedOnFull:
@@ -135,7 +152,7 @@ class TestShedOnFull:
 
         async def scenario():
             batcher = QueryBatcher(
-                slow_batch, batch_max=1, flush_interval=0, max_pending=2
+                slow_batch, batch_max=1, max_pending=2
             )
             first = asyncio.ensure_future(batcher.submit(0))
             # Let the dispatcher take job 0 into the (blocked) batch.
@@ -176,7 +193,7 @@ class TestCloseAndFailure:
 
         async def scenario():
             batcher = QueryBatcher(
-                slow_batch, batch_max=1, flush_interval=0, max_pending=4
+                slow_batch, batch_max=1, max_pending=4
             )
             inflight = asyncio.ensure_future(batcher.submit(0))
             await asyncio.get_running_loop().run_in_executor(
@@ -202,9 +219,7 @@ class TestCloseAndFailure:
             return _echo_batch(payloads)
 
         async def scenario():
-            batcher = QueryBatcher(
-                flaky_batch, batch_max=8, flush_interval=0.02
-            )
+            batcher = QueryBatcher(flaky_batch, batch_max=8)
             with pytest.raises(RuntimeError, match="boom"):
                 await batcher.submit(1)
             result = await batcher.submit(2)
@@ -221,5 +236,3 @@ class TestCloseAndFailure:
             QueryBatcher(_echo_batch, batch_max=0)
         with pytest.raises(ValueError):
             QueryBatcher(_echo_batch, max_pending=0)
-        with pytest.raises(ValueError):
-            QueryBatcher(_echo_batch, flush_interval=-1)

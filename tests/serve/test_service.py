@@ -1,8 +1,8 @@
 """Service integration: HTTP endpoints and service == batch bit-identity.
 
-The service runs in-process on a dedicated event-loop thread; the
+The service runs on the in-process harness from ``conftest.py``; the
 blocking :class:`ServiceClient` talks to it over a real loopback socket,
-so the whole HTTP/JSON/batching path is exercised.  The final test goes
+so the whole HTTP/JSON/batching path is exercised.  The final tests go
 through the actual ``repro-tomography serve`` / ``localize`` CLI
 entry points in subprocesses.
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pathlib
+import signal
 import socket
 import subprocess
 import sys
@@ -22,7 +24,9 @@ import pytest
 from repro.serve.client import ServiceClient, ServiceError
 from repro.serve.queries import decode_vectors, run_query
 from repro.serve.registry import instance_from_payload
-from repro.serve.server import MAX_LINE_BYTES, TomographyService
+from repro.serve.server import MAX_LINE_BYTES
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 GENERATOR = {
     "kind": "brite",
@@ -39,51 +43,6 @@ QUERY = {
     "packets_per_path": 200,
     "loc_snapshots": 2,
 }
-
-
-class ServiceHarness:
-    """A TomographyService on its own event-loop thread."""
-
-    def __init__(self, **knobs) -> None:
-        self.service = TomographyService(port=0, **knobs)
-        self.loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.service.start())
-        self._started.set()
-        self.loop.run_forever()
-
-    def __enter__(self) -> "ServiceHarness":
-        self.thread.start()
-        assert self._started.wait(timeout=30), "service failed to start"
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.shutdown(), self.loop
-        )
-        future.result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=30)
-        self.loop.close()
-
-    def client(self, **kwargs) -> ServiceClient:
-        return ServiceClient(port=self.service.port, **kwargs)
-
-
-@pytest.fixture(scope="module")
-def harness():
-    with ServiceHarness(flush_interval=0.01) as running:
-        yield running
-
-
-@pytest.fixture(scope="module")
-def client(harness):
-    with harness.client() as connected:
-        yield connected
 
 
 @pytest.fixture(scope="module")
@@ -277,10 +236,8 @@ class TestQueries:
 
 
 class TestStoreLifecycle:
-    def test_store_full_409_then_evict_frees_a_slot(self):
-        with ServiceHarness(
-            max_topologies=1, flush_interval=0
-        ) as harness:
+    def test_store_full_409_then_evict_frees_a_slot(self, service_harness):
+        with service_harness(max_topologies=1) as harness:
             with harness.client() as client:
                 first = client.load_topology(generator=GENERATOR)
                 with pytest.raises(ServiceError) as excinfo:
@@ -294,8 +251,8 @@ class TestStoreLifecycle:
                     client.evict(first)
                 assert excinfo.value.status == 404
 
-    def test_shutdown_fails_queries_not_connections(self):
-        harness = ServiceHarness(flush_interval=0)
+    def test_shutdown_fails_queries_not_connections(self, service_harness):
+        harness = service_harness()
         with harness:
             with harness.client() as client:
                 fingerprint = client.load_topology(generator=GENERATOR)
@@ -304,6 +261,42 @@ class TestStoreLifecycle:
         with pytest.raises(OSError):
             with harness.client(timeout=5) as client:
                 client.health()
+
+    def test_shutdown_answers_inflight_query_503(self, service_harness):
+        entered, release = threading.Event(), threading.Event()
+        harness = service_harness()
+        run_batch = harness.service._run_batch
+
+        def held_batch(instance, queries):
+            entered.set()
+            release.wait(timeout=30)
+            return run_batch(instance, queries)
+
+        harness.service._run_batch = held_batch
+        outcome = {}
+        with harness:
+            with harness.client() as client:
+                fingerprint = client.load_topology(generator=GENERATOR)
+
+                def query() -> None:
+                    try:
+                        outcome["result"] = client.query(fingerprint, QUERY)
+                    except ServiceError as exc:
+                        outcome["status"] = exc.status
+
+                thread = threading.Thread(target=query)
+                thread.start()
+                try:
+                    assert entered.wait(timeout=30)
+                    asyncio.run_coroutine_threadsafe(
+                        harness.service.shutdown(), harness.loop
+                    ).result(timeout=30)
+                    thread.join(timeout=30)
+                finally:
+                    release.set()
+        # The connection closes at shutdown, but only after the query
+        # it was waiting on got its answer.
+        assert outcome == {"status": 503}
 
 
 @pytest.mark.timeout(300)
@@ -330,7 +323,7 @@ def test_cli_round_trip_matches_localize_command(tmp_path):
         ],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         env=env,
     )
     assert cli.returncode == 0, cli.stderr[-2000:]
@@ -348,7 +341,7 @@ def test_cli_round_trip_matches_localize_command(tmp_path):
         ],
         stdout=subprocess.PIPE,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         env=env,
     )
     try:
@@ -364,3 +357,33 @@ def test_cli_round_trip_matches_localize_command(tmp_path):
         process.terminate()
         process.wait(timeout=30)
     assert process.returncode == 0
+
+
+@pytest.mark.timeout(120)
+def test_sigterm_with_idle_keepalive_client_exits_quietly():
+    """SIGTERM while a keep-alive connection sits idle: the handler ends
+    normally, so the server exits 0 without a traceback on stderr."""
+    env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--no-cache"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=REPO_ROOT,
+        env=env,
+    )
+    try:
+        banner = process.stdout.readline().strip()
+        assert banner.startswith("serving on "), banner
+        port = int(banner.rsplit(":", 1)[1])
+        with ServiceClient(port=port, timeout=30) as client:
+            assert client.health()["status"] == "ok"
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=60)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0
+    assert "Traceback" not in stderr, stderr

@@ -1,15 +1,13 @@
 """/stream endpoint integration plus the client timeout satellite.
 
-Same in-process harness as ``test_service.py``: the service runs on a
-dedicated event-loop thread and the blocking :class:`ServiceClient`
-exercises the real chunked HTTP/1.1 path over a loopback socket.
+The service runs on the in-process harness from ``conftest.py``; the
+blocking :class:`ServiceClient` exercises the real chunked HTTP/1.1 path
+over a loopback socket.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
-import threading
 import time
 
 import numpy as np
@@ -19,7 +17,6 @@ from repro.core.correlation_algorithm import infer_congestion
 from repro.serve.client import ServiceClient, ServiceError
 from repro.serve.queries import decode_vectors
 from repro.serve.registry import instance_from_payload
-from repro.serve.server import TomographyService
 from repro.simulate.observations import PathObservations
 from repro.utils.rng import as_generator
 
@@ -31,51 +28,6 @@ GENERATOR = {
     "seed": 7,
 }
 N_PATHS = GENERATOR["n_paths"]
-
-
-class ServiceHarness:
-    """A TomographyService on its own event-loop thread."""
-
-    def __init__(self, **knobs) -> None:
-        self.service = TomographyService(port=0, **knobs)
-        self.loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.service.start())
-        self._started.set()
-        self.loop.run_forever()
-
-    def __enter__(self) -> "ServiceHarness":
-        self.thread.start()
-        assert self._started.wait(timeout=30), "service failed to start"
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.shutdown(), self.loop
-        )
-        future.result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=30)
-        self.loop.close()
-
-    def client(self, **kwargs) -> ServiceClient:
-        return ServiceClient(port=self.service.port, **kwargs)
-
-
-@pytest.fixture(scope="module")
-def harness():
-    with ServiceHarness(flush_interval=0.01) as running:
-        yield running
-
-
-@pytest.fixture(scope="module")
-def client(harness):
-    with harness.client() as connected:
-        yield connected
 
 
 @pytest.fixture(scope="module")

@@ -1,21 +1,16 @@
 """The ``/whatif`` endpoint: service == batch bit-identity, validation.
 
-Pytest test dirs are not packages, so the small event-loop-thread
-harness is redefined here rather than imported from test_service.
+The service runs on the in-process harness from ``conftest.py``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
-
 import numpy as np
 import pytest
 
-from repro.serve.client import ServiceClient, ServiceError
+from repro.serve.client import ServiceError
 from repro.serve.queries import decode_vectors, run_query
 from repro.serve.registry import instance_from_payload
-from repro.serve.server import TomographyService
 
 GENERATOR = {
     "kind": "brite",
@@ -34,51 +29,6 @@ DEMAND = {
     "shifts": [{"name": "surge", "scale": 1.6}],
 }
 PARAMS = {"seed": 3, "n_snapshots": 30, "packets_per_path": 200}
-
-
-class ServiceHarness:
-    """A TomographyService on its own event-loop thread."""
-
-    def __init__(self, **knobs) -> None:
-        self.service = TomographyService(port=0, **knobs)
-        self.loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.service.start())
-        self._started.set()
-        self.loop.run_forever()
-
-    def __enter__(self) -> "ServiceHarness":
-        self.thread.start()
-        assert self._started.wait(timeout=30), "service failed to start"
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.shutdown(), self.loop
-        )
-        future.result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=30)
-        self.loop.close()
-
-    def client(self, **kwargs) -> ServiceClient:
-        return ServiceClient(port=self.service.port, **kwargs)
-
-
-@pytest.fixture(scope="module")
-def harness():
-    with ServiceHarness(flush_interval=0.01) as running:
-        yield running
-
-
-@pytest.fixture(scope="module")
-def client(harness):
-    with harness.client() as connected:
-        yield connected
 
 
 @pytest.fixture(scope="module")
