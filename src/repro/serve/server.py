@@ -19,9 +19,11 @@ POST       ``/topologies/<fp>/stream``        Window uploads → chunked deltas
 
 Status mapping: bad payloads → 400, unknown topology/path → 404, store
 at capacity → 409, a request line or header line longer than
-:data:`MAX_LINE_BYTES` → 414 or 431 (then the connection closes),
-batcher queue full (backpressure) → 429, shutting down → 503.  Query
-execution itself happens on a worker thread through
+:data:`MAX_LINE_BYTES` → 414 or 431, more than :data:`MAX_HEADERS`
+header lines → 431, a body still short of its Content-Length after
+:data:`BODY_READ_SECONDS` → 408 (each of these four then closes the
+connection), batcher queue full (backpressure) → 429, shutting down →
+503.  Query execution itself happens on a worker thread through
 :func:`repro.eval.parallel.run_scenario_tasks`, so answers are
 bit-identical to the batch CLI's for the same seeds.
 """
@@ -50,6 +52,14 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: default stream limit, named here so the refusals can state it).
 MAX_LINE_BYTES = 64 * 1024
 
+#: Upper bound on the number of header lines in one request.
+MAX_HEADERS = 100
+
+#: How long a request body may take to arrive once its head is read; a
+#: body shorter than its Content-Length would otherwise hold the
+#: connection forever.
+BODY_READ_SECONDS = 10.0
+
 #: How long a refused connection keeps reading (and discarding) what the
 #: peer is still sending before it closes.
 _LINGER_SECONDS = 1.0
@@ -71,6 +81,20 @@ async def _read_line(reader, status: int, what: str) -> bytes:
         ) from None
 
 
+async def _read_body(reader, length: int) -> bytes:
+    """The request body; one still short after the deadline is refused."""
+    try:
+        return await asyncio.wait_for(
+            reader.readexactly(length), BODY_READ_SECONDS
+        )
+    except asyncio.TimeoutError:
+        raise _HttpError(
+            408,
+            f"body shorter than Content-Length {length} "
+            f"after {BODY_READ_SECONDS} s",
+        ) from None
+
+
 async def _discard(reader) -> None:
     while await reader.read(MAX_LINE_BYTES):
         pass
@@ -82,6 +106,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     414: "URI Too Long",
@@ -239,10 +264,14 @@ class TomographyService:
                     )
                     break
                 headers = {}
-                while True:
+                for count in range(MAX_HEADERS + 1):
                     line = await _read_line(reader, 431, "header line")
                     if line in (b"\r\n", b"\n", b""):
                         break
+                    if count == MAX_HEADERS:
+                        raise _HttpError(
+                            431, f"more than {MAX_HEADERS} header lines"
+                        )
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
                 try:
@@ -261,7 +290,7 @@ class TomographyService:
                         {"error": f"body exceeds {MAX_BODY_BYTES} bytes"},
                     )
                     break
-                body = await reader.readexactly(length) if length else b""
+                body = await _read_body(reader, length) if length else b""
                 path = raw_path.split("?", 1)[0]
                 keep_alive = (
                     headers.get("connection", "keep-alive").lower()
@@ -291,7 +320,8 @@ class TomographyService:
                 if not keep_alive:
                     break
         except _HttpError as exc:
-            # A request head too long to read: answer once, then close.
+            # A request head too long to read, or a body that never
+            # arrives: answer once, then close.
             # Closing with the rest of the request unread would reset
             # the connection, which can destroy the answer before the
             # peer reads it; so half-close and drain for a bounded time.

@@ -12,7 +12,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.core.solvers import (
+    _TIE_BREAK,
     L1Program,
+    _log_primes,
     solve_l1,
     solve_min_norm_least_squares,
 )
@@ -103,9 +105,76 @@ def test_min_norm_minimises_norm_among_solutions(system):
     assert np.linalg.norm(raw) <= np.linalg.norm(x_star) + 1e-7
 
 
-def linprog_reference(matrix, values):
-    """The original one-shot lift, solved through ``linprog``: the cached
-    :class:`L1Program` must reproduce it bit for bit."""
+#: HiGHS's default dual feasibility tolerance (``HighsOptions``).
+DUAL_TOLERANCE = 1e-7
+
+
+def trial_division_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % prime for prime in primes):
+            primes.append(candidate)
+        candidate += 1
+    return np.array(primes)
+
+
+def lp_bounds(matrix, n_aux):
+    """The solver's ``x`` bounds (uncovered columns pinned to 0), then
+    ``n_aux`` nonnegative auxiliaries."""
+    n_cols = matrix.shape[1]
+    covered = np.asarray(abs(sparse.csr_matrix(matrix)).sum(axis=0)).ravel() > 0
+    bounds = np.empty((n_cols + n_aux, 2))
+    bounds[:n_cols, 0] = np.where(covered, -np.inf, 0.0)
+    bounds[:n_cols, 1] = 0.0
+    bounds[n_cols:] = (0.0, np.inf)
+    return bounds
+
+
+def split_residual_lift(matrix):
+    """``[R −I I]``: ``Rx − p + q = y`` with ``p, q ≥ 0``."""
+    n_rows = matrix.shape[0]
+    identity = sparse.identity(n_rows, format="csr")
+    return sparse.hstack(
+        [sparse.csr_matrix(matrix), -identity, identity], format="csr"
+    )
+
+
+def pure_l1_optimum(matrix, values):
+    """``z* = min ‖Rx − y‖₁`` over ``x ≤ 0``, with no tie-break."""
+    n_rows, n_cols = matrix.shape
+    result = linprog(
+        np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)]),
+        A_eq=split_residual_lift(matrix),
+        b_eq=values,
+        bounds=lp_bounds(matrix, 2 * n_rows),
+        method="highs",
+    )
+    assert result.success
+    return result.fun
+
+
+def two_stage_tie_break(matrix, values, optimum, slack):
+    """Stage 2 of the reference: maximise ``Σ w_j x_j`` with the L1
+    residual held at the stage-1 optimum ``z*`` (plus ``slack``, so
+    HiGHS can reach the face).  Returns ``x`` and its ``Σ(p + q)``."""
+    n_rows, n_cols = matrix.shape
+    residual_row = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
+    result = linprog(
+        np.concatenate([-_log_primes(n_cols), np.zeros(2 * n_rows)]),
+        A_ub=residual_row[None, :],
+        b_ub=[optimum + slack],
+        A_eq=split_residual_lift(matrix),
+        b_eq=values,
+        bounds=lp_bounds(matrix, 2 * n_rows),
+        method="highs",
+    )
+    assert result.success
+    return result.x[:n_cols], result.x[n_cols:].sum()
+
+
+def inequality_lift(matrix, values):
+    """``[R −I; −R −I][x; t] ≤ [y; −y]`` with the same blended cost."""
     n_rows, n_cols = matrix.shape
     csr = sparse.csr_matrix(matrix)
     identity = sparse.identity(n_rows, format="csr")
@@ -113,20 +182,59 @@ def linprog_reference(matrix, values):
         [sparse.hstack([csr, -identity]), sparse.hstack([-csr, -identity])],
         format="csr",
     )
-    covered = np.asarray(abs(csr).sum(axis=0)).ravel() > 0
-    bounds = np.empty((n_cols + n_rows, 2))
-    bounds[:n_cols, 0] = np.where(covered, -np.inf, 0.0)
-    bounds[:n_cols, 1] = 0.0
-    bounds[n_cols:] = (0.0, np.inf)
     result = linprog(
-        np.concatenate([np.zeros(n_cols), np.ones(n_rows)]),
+        np.concatenate(
+            [-_TIE_BREAK * _log_primes(n_cols), np.ones(n_rows)]
+        ),
         A_ub=constraint,
         b_ub=np.concatenate([values, -values]),
-        bounds=bounds,
+        bounds=lp_bounds(matrix, n_rows),
         method="highs",
     )
     assert result.success
     return result.x[:n_cols]
+
+
+def assert_canonical_l1(program, matrix, values):
+    """The contract of :meth:`L1Program.solve`; returns its answer.
+
+    *L1-optimal:* ``‖Rx − y‖₁`` equals the pure-L1 optimum ``z*``
+    within ``tol = 1e-9 (1 + z*)``.
+
+    *Tie-break-optimal within tolerance:* ``T = Σ w_j x_j`` is at least
+    the two-stage reference ``T*`` minus ``δ``.  HiGHS stops at a basis
+    whose reduced costs for the blended objective ``F = Σ(p + q) − ε T``
+    have the right sign to within its dual feasibility tolerance ``τ``.
+    Writing any feasible point against that basis, ``F`` can be lower
+    than at the answer ``v = (x, p, q)`` by at most ``τ`` per unit of
+    movement in a nonbasic column, so ``F(v) ≤ F(v*) + τ D`` with ``D =
+    ‖v − v*‖₁ ≤ ‖x‖₁ + ‖x*‖₁ + Σ(p + q) + Σ(p* + q*)``.  The reference
+    ``v*`` has residual at most ``z* + tol`` (its stage-2 slack) and
+    ``v`` at least ``z* − tol``, so ``ε (T* − T) ≤ τ D + 2 tol`` and
+
+        δ = (τ D + 2 tol) / ε.
+
+    The bound holds whichever vertex of a near-tie HiGHS settles on,
+    which is why the per-link answer is not compared on these systems.
+    """
+    solution = program.solve(values)
+    optimum = pure_l1_optimum(matrix, values)
+    tolerance = 1e-9 * (1.0 + optimum)
+    residual = np.abs(matrix @ solution - values).sum()
+    assert abs(residual - optimum) <= tolerance
+    reference, reference_residual = two_stage_tie_break(
+        matrix, values, optimum, tolerance
+    )
+    distance = (
+        np.abs(solution).sum()
+        + np.abs(reference).sum()
+        + residual
+        + reference_residual
+    )
+    delta = (DUAL_TOLERANCE * distance + 2.0 * tolerance) / _TIE_BREAK
+    weights = _log_primes(matrix.shape[1])
+    assert weights @ solution >= weights @ reference - delta
+    return solution
 
 
 @st.composite
@@ -152,33 +260,45 @@ def sparse_systems(draw):
     return matrix, right_hand_sides
 
 
+def test_tie_break_weights_are_log_primes():
+    for count in (0, 1, 5, 6, 7, 450):
+        assert np.array_equal(
+            _log_primes(count), np.log(trial_division_primes(count))
+        )
+
+
 @given(sparse_systems())
 @settings(max_examples=60, deadline=None)
-def test_cached_program_is_bitwise_the_linprog_lift(system):
+def test_cached_program_is_canonical_l1(system):
     matrix, right_hand_sides = system
     program = L1Program(sparse.csr_matrix(matrix))
     for values in right_hand_sides:
-        expected = linprog_reference(matrix, values)
-        assert program.solve(values).tobytes() == expected.tobytes()
+        expected = assert_canonical_l1(program, matrix, values)
         assert solve_l1(matrix, values).tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")
-def brite_template_system():
-    """The small-scale BRITE template's program and simulated ``y``s.
-
-    A real-sized lift (361 x 450 ``R``) next to the hypothesis systems,
-    which stay at most 24 x 20.
-    """
+def brite_template():
+    """The small-scale BRITE instance and its equation template: a
+    real-sized lift (361 x 450 ``R``) next to the hypothesis systems,
+    which stay at most 24 x 20."""
     from repro.core.streaming import EquationTemplate
     from repro.eval.figures import default_instance
-    from repro.eval.scenario import make_clustered_scenario
-    from repro.simulate.experiment import ExperimentConfig, run_experiment
 
     instance = default_instance("brite", scale="small")
     template = EquationTemplate.build(
         instance.topology, instance.correlation
     )
+    return instance, template
+
+
+@pytest.fixture(scope="module")
+def brite_template_system(brite_template):
+    """The template's program and ``y``s of three simulated scenarios."""
+    from repro.eval.scenario import make_clustered_scenario
+    from repro.simulate.experiment import ExperimentConfig, run_experiment
+
+    instance, template = brite_template
     right_hand_sides = []
     for seed in range(3):
         scenario = make_clustered_scenario(
@@ -194,14 +314,57 @@ def brite_template_system():
     return template.program, right_hand_sides
 
 
-def test_real_template_program_is_bitwise_the_linprog_lift(
-    brite_template_system,
-):
+@pytest.fixture(scope="module")
+def stream_window_values(brite_template):
+    """The template's ``y`` over four consecutive windows of a sliding
+    1000-snapshot stream, each step evicting 200 snapshots."""
+    from repro.eval.scenario import make_clustered_scenario
+    from repro.simulate.experiment import ExperimentConfig, run_experiment
+    from repro.simulate.observations import PathObservations
+
+    instance, template = brite_template
+    scenario = make_clustered_scenario(
+        instance, congested_fraction=0.1, seed=7
+    )
+    states = run_experiment(
+        instance.topology,
+        scenario.truth_model,
+        config=ExperimentConfig(n_snapshots=1600, packets_per_path=800),
+        seed=107,
+    ).observations.path_states
+    observations = PathObservations(states[:1000], max_window=1000)
+    right_hand_sides = [template.values(observations)]
+    for start in range(1000, 1600, 200):
+        observations.append_window(states[start : start + 200])
+        right_hand_sides.append(template.values(observations))
+    return right_hand_sides
+
+
+def test_real_template_program_is_canonical_l1(brite_template_system):
     program, right_hand_sides = brite_template_system
     assert program.shape == (361, 450)
     for values in right_hand_sides:
-        expected = linprog_reference(program.matrix, values)
-        assert program.solve(values).tobytes() == expected.tobytes()
+        assert_canonical_l1(program, program.matrix, values)
+
+
+def test_real_answers_do_not_depend_on_row_order_or_lift(
+    brite_template_system, stream_window_values
+):
+    """On real systems the tie-break leaves no near-ties: permuting the
+    rows of ``(R, y)`` and posing the same blended cost on the
+    inequality lift give the same per-link answer."""
+    program, right_hand_sides = brite_template_system
+    matrix = program.matrix
+    order = np.random.default_rng(0).permutation(matrix.shape[0])
+    permuted = L1Program(matrix[order])
+    for values in right_hand_sides + stream_window_values:
+        solution = program.solve(values)
+        np.testing.assert_allclose(
+            permuted.solve(values[order]), solution, rtol=0, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            inequality_lift(matrix, values), solution, rtol=0, atol=1e-9
+        )
 
 
 def test_shared_program_solves_identically_across_threads(

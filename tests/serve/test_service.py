@@ -23,8 +23,9 @@ import pytest
 
 from repro.serve.client import ServiceClient, ServiceError
 from repro.serve.queries import decode_vectors, run_query
+from repro.serve import server
 from repro.serve.registry import instance_from_payload
-from repro.serve.server import MAX_LINE_BYTES
+from repro.serve.server import MAX_HEADERS, MAX_LINE_BYTES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -43,6 +44,18 @@ QUERY = {
     "packets_per_path": 200,
     "loc_snapshots": 2,
 }
+
+
+def raw_exchange(port: int, request: bytes) -> tuple[bytes, bytes]:
+    """Send raw ``request`` bytes, read until the service closes; the
+    reply's head and body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+        raw.sendall(request)
+        reply = b""
+        while chunk := raw.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, body
 
 
 @pytest.fixture(scope="module")
@@ -121,46 +134,60 @@ class TestEndpoints:
         assert b"invalid JSON" in body
 
     def test_negative_content_length_is_400(self, harness, client):
-        with socket.create_connection(
-            ("127.0.0.1", harness.service.port), timeout=10
-        ) as raw:
-            raw.sendall(
-                b"POST /topologies HTTP/1.1\r\n"
-                b"Host: localhost\r\n"
-                b"Content-Length: -5\r\n\r\n"
-            )
-            reply = b""
-            while chunk := raw.recv(65536):
-                reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
+        head, body = raw_exchange(
+            harness.service.port,
+            b"POST /topologies HTTP/1.1\r\n"
+            b"Host: localhost\r\n"
+            b"Content-Length: -5\r\n\r\n",
+        )
         assert head.startswith(b"HTTP/1.1 400")
         assert json.loads(body) == {"error": "bad Content-Length"}
         assert client.health()["status"] == "ok"
 
     @pytest.mark.parametrize(
-        "request_head, status, what",
+        "request_head, status, error",
         [
             (b"GET /" + b"a" * 200_000 + b" HTTP/1.1\r\n\r\n",
-             414, "request line"),
+             414, f"request line exceeds {MAX_LINE_BYTES} bytes"),
             (b"GET /health HTTP/1.1\r\nX-Big: " + b"a" * 200_000
-             + b"\r\n\r\n", 431, "header line"),
+             + b"\r\n\r\n", 431,
+             f"header line exceeds {MAX_LINE_BYTES} bytes"),
+            (b"GET /health HTTP/1.1\r\nHost: localhost\r\n"
+             + b"X-Same: 1\r\n" * MAX_HEADERS + b"\r\n", 431,
+             f"more than {MAX_HEADERS} header lines"),
         ],
-        ids=["request-line", "header-line"],
+        ids=["request-line", "header-line", "header-count"],
     )
     def test_oversized_head_line_gets_one_json_answer(
-        self, harness, client, request_head, status, what
+        self, harness, client, request_head, status, error
     ):
-        with socket.create_connection(
-            ("127.0.0.1", harness.service.port), timeout=10
-        ) as raw:
-            raw.sendall(request_head)
-            reply = b""
-            while chunk := raw.recv(65536):
-                reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
+        head, body = raw_exchange(harness.service.port, request_head)
         assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert json.loads(body) == {"error": error}
+        assert client.health()["status"] == "ok"
+
+    def test_header_count_at_the_cap_is_served(self, harness):
+        head, body = raw_exchange(
+            harness.service.port,
+            b"GET /health HTTP/1.1\r\nHost: localhost\r\n"
+            + b"X-Same: 1\r\n" * (MAX_HEADERS - 2)
+            + b"Connection: close\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body)["status"] == "ok"
+
+    def test_short_body_gets_one_json_408(
+        self, harness, client, monkeypatch
+    ):
+        monkeypatch.setattr(server, "BODY_READ_SECONDS", 0.2)
+        head, body = raw_exchange(
+            harness.service.port,
+            b"POST /topologies HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: 100\r\n\r\n{\"generator\": ",
+        )
+        assert head.startswith(b"HTTP/1.1 408 ")
         assert json.loads(body) == {
-            "error": f"{what} exceeds {MAX_LINE_BYTES} bytes"
+            "error": "body shorter than Content-Length 100 after 0.2 s"
         }
         assert client.health()["status"] == "ok"
 
