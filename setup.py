@@ -8,8 +8,9 @@ fail.  This shim lets ``pip install -e .`` fall back to the classic
 Dependency floors: the batch estimator kernels need
 ``numpy.packbits(..., bitorder=...)`` and the ``Generator`` /
 ``SeedSequence`` API (numpy >= 1.20), and the L1 solver calls HiGHS
-through the pybind binding ``scipy.optimize._highspy._core``
-(scipy >= 1.17, the oldest release this package is tested with).
+through the pybind binding ``scipy.optimize._highspy._core``, including
+its ``getBasis``/``setBasis`` warm start (scipy >= 1.17, the oldest
+release this package is tested with; it needs Python >= 3.11).
 """
 
 import pathlib
@@ -36,7 +37,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=[
         "numpy>=1.20",
         "scipy>=1.17",

@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     _workers_argument(fig3)
 
     fig3cdf = commands.add_parser(
-        "figure3-cdf", help="Figures 3(c,d): error CDF at 10% congestion"
+        "figure3-cdf", help="Figures 3(c,d): error CDF at 10%% congestion"
     )
     _common_figure_arguments(fig3cdf)
     _workers_argument(fig3cdf)
@@ -2056,9 +2056,8 @@ def _run_stream(args) -> int:
             print(canonical_json(verdict_delta(verdict)), flush=True)
     if observations is None:
         raise SystemExit("error: the window source was empty")
-    final_line(
-        observations, engine.template().infer(observations)
-    )
+    # The last update already inferred over exactly these observations.
+    final_line(observations, verdict.result)
     return 0
 
 

@@ -24,7 +24,10 @@ LP without a densify round-trip.  The LP lift of a fixed ``R`` is an
 :meth:`L1Program.solve` is the package's one call into HiGHS, through the
 pybind binding scipy ships (``scipy.optimize._highspy._core``).  The
 lifted matrix, bounds and objective are converted once per program, and
-a solve fills only the right-hand side.
+a solve fills only the right-hand side.  A caller that solves one
+program repeatedly (a stream) passes a :class:`WarmStart` so each solve
+starts from the last optimal basis; an active-set polish makes the
+answer the same bytes warm or cold.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.optimize import lsq_linear
+from scipy.sparse.linalg import splu
 
 from repro.exceptions import SolverError
 
@@ -45,6 +49,7 @@ except ImportError as exc:  # pragma: no cover - depends on the install
 
 __all__ = [
     "L1Program",
+    "WarmStart",
     "solve_l1",
     "solve_bounded_least_squares",
     "solve_min_norm_least_squares",
@@ -114,6 +119,60 @@ def _log_primes(count: int) -> np.ndarray:
     return np.log(np.flatnonzero(sieve)[:count])
 
 
+#: Thresholds of the active-set polish.  A row is active when its
+#: residual is at most this; a link is free when it sits more than this
+#: below its bound; and the polish may move ``x`` by at most this times
+#: ``1 + max |x|`` before the raw vertex is kept instead.
+_ACTIVE_TOLERANCE = 1e-9
+
+
+def _row_products(matrix) -> tuple:
+    """Every product ``R_ij R_ik`` of two entries in one row of CSR ``R``.
+
+    Returns arrays ``(i, j, k, R_ij R_ik)`` sorted by ``k``, then ``j``,
+    then ``i``.  Summed over the active rows, the products of free links
+    are the normal matrix ``R[A, F]ᵀ R[A, F]``, and this order lists its
+    entries column by column with duplicates adjacent.
+    """
+    per_row = np.diff(matrix.indptr)
+    row = np.repeat(np.arange(per_row.size), per_row)
+    count = per_row[row]
+    left = np.repeat(np.arange(row.size), count)
+    offsets = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count)
+    right = np.repeat(matrix.indptr[row], count) + offsets
+    rows, cols, data = row[left], matrix.indices, matrix.data
+    order = np.lexsort((rows, cols[left], cols[right]))
+    left, right, rows = left[order], right[order], rows[order]
+    return rows, cols[left], cols[right], data[left] * data[right]
+
+
+class WarmStart:
+    """Caller-owned warm state for repeated solves of one program.
+
+    Holds the last optimal HiGHS basis.  Successive solves of one
+    :class:`L1Program` change only ``y``, so that basis stays dual
+    feasible and the next solve starts from it instead of from the slack
+    basis.  The polish in :meth:`L1Program.solve` makes the answer a
+    function of the optimal vertex alone, so a warm solve returns the
+    same bytes as a cold one.
+
+    A warm state is bound to the last program it was used with (a solve
+    on another program starts cold and rebinds it) and is not safe to
+    share across threads: keep one per stream or per thread.
+
+    Attributes:
+        fallbacks: Solves whose polish was refused, answered with the
+            raw cold vertex instead.
+    """
+
+    __slots__ = ("program", "basis", "fallbacks")
+
+    def __init__(self) -> None:
+        self.program: L1Program | None = None
+        self.basis = None
+        self.fallbacks = 0
+
+
 class L1Program:
     """The L1 estimate ``min ‖Rx − y‖₁ s.t. x ≤ upper_bound`` for one ``R``.
 
@@ -134,6 +193,23 @@ class L1Program:
     depends on ``(R, y)`` alone, not on row order or on how the LP is
     posed.
 
+    The answer is the *polished vertex*.  HiGHS stops at an optimal
+    vertex, but the bits of its ``x`` depend on the pivots that led
+    there.  Every solve therefore ends with one deterministic active-set
+    polish: with ``A`` the rows whose residual is within 1e-9 of 0 and
+    ``F`` the links more than 1e-9 below their bound, it solves the
+    normal equations of ``R[A, F] x_F = y_A`` by sparse LU and puts
+    every other link at its bound.  The answer is then a function of
+    ``(A, F)`` and ``y``: a solve warm-started from any basis (see
+    :class:`WarmStart`) gives the same bytes as a cold one whenever it
+    reaches the same vertex.  At a vertex ``R[A, F]`` has full column
+    rank, so the polish moves ``x`` only by round-off.  If the normal
+    matrix is singular, the result is not finite, or it would move
+    ``x`` by more than ``1e-9 (1 + max |x|)``, the polish is refused:
+    a warm solve re-solves cold, and if the cold vertex is refused too
+    the raw cold ``x`` is the answer and the warm state counts a
+    fallback.
+
     Columns of ``R`` that are entirely zero (links covered by no
     equation) are pinned to 0.  The constraint matrix, bounds and
     objective depend on ``R`` alone and are built once; :meth:`solve`
@@ -141,7 +217,8 @@ class L1Program:
 
     A program is safe to share across threads: the prebuilt HiGHS
     objects are only ever copied from, and every solve runs on its own
-    model and solver.
+    model and solver.  Warm state belongs to the caller, never to the
+    shared program.
     """
 
     def __init__(self, matrix, *, upper_bound: float = 0.0) -> None:
@@ -174,6 +251,11 @@ class L1Program:
         self.matrix = matrix
         self.upper_bound = upper_bound
         self.shape = (n_rows, n_cols)
+        self._csr = sparse.csr_matrix(matrix)
+        self._csr_t = self._csr.T.tocsr()
+        self._products = _row_products(self._csr)
+        self._bound = upper[:n_cols].copy()
+        self._offset = self._csr @ self._bound
         self._lp_matrix = lp_matrix
         self._options = options
         self._col_lower = lower
@@ -183,10 +265,33 @@ class L1Program:
         )
         self._integrality = [_highs.HighsVarType.kContinuous] * n_lifted
 
-    def solve(self, values: np.ndarray) -> np.ndarray:
-        """The canonical L1-optimal ``x`` for one right-hand side ``y``."""
+    def solve(
+        self, values: np.ndarray, *, warm: WarmStart | None = None
+    ) -> np.ndarray:
+        """The canonical L1-optimal ``x`` for one right-hand side ``y``.
+
+        ``warm`` starts HiGHS from the basis of the last solve made with
+        it and keeps this solve's basis for the next one; the answer is
+        the same bytes either way.
+        """
+        values = _as_values(values, self.shape[0])
+        basis = None
+        if warm is not None and warm.program is self:
+            basis = warm.basis
+        vertex, vertex_basis = self._vertex(values, basis)
+        answer = self._polish(values, vertex)
+        if answer is None and basis is not None:
+            vertex, vertex_basis = self._vertex(values, None)
+            answer = self._polish(values, vertex)
+        if warm is not None:
+            warm.program, warm.basis = self, vertex_basis
+            if answer is None:
+                warm.fallbacks += 1
+        return vertex if answer is None else answer
+
+    def _vertex(self, values: np.ndarray, basis) -> tuple:
+        """HiGHS's optimal ``x`` and basis, started from ``basis``."""
         n_rows, n_cols = self.shape
-        values = _as_values(values, n_rows)
         lp = _highs.HighsLp()
         lp.num_row_, lp.num_col_ = n_rows, n_cols + 2 * n_rows
         lp.a_matrix_ = self._lp_matrix
@@ -204,13 +309,72 @@ class L1Program:
         # anyway crashes the interpreter.
         if highs.passModel(lp) == error:
             raise SolverError("L1 linear program failed: model error")
+        if basis is not None:
+            highs.setBasis(basis)
         if (
             highs.run() == error
             or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal
         ):
             status = highs.modelStatusToString(highs.getModelStatus())
             raise SolverError(f"L1 linear program failed: {status}")
-        return np.array(highs.getSolution().col_value[:n_cols])
+        solution = np.array(highs.getSolution().col_value[:n_cols])
+        return solution, highs.getBasis()
+
+    def _polish(self, values: np.ndarray, vertex: np.ndarray):
+        """The vertex re-solved on its active set, or ``None`` if refused."""
+        active = np.abs(self._csr @ vertex - values) <= _ACTIVE_TOLERANCE
+        free = vertex < self._bound - _ACTIVE_TOLERANCE
+        answer = self._bound.copy()
+        if free.any():
+            # x_F = bound_F + d_F, where d_F solves the normal equations
+            # of R[A, F] d_F = (y - R bound)_A.  The normal matrix is
+            # the sum of the active rows' entry products, which come
+            # sorted into CSC order with duplicates adjacent.
+            rows, left, right, products = self._products
+            keep = active[rows] & free[left] & free[right]
+            index = np.cumsum(free) - 1
+            size = int(index[-1]) + 1
+            row_ids, col_ids = index[left[keep]], index[right[keep]]
+            first = np.ones(row_ids.size, dtype=bool)
+            first[1:] = (row_ids[1:] != row_ids[:-1]) | (
+                col_ids[1:] != col_ids[:-1]
+            )
+            starts = np.flatnonzero(first)
+            if not starts.size:
+                return None
+            indptr = np.zeros(size + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(col_ids[starts], minlength=size), out=indptr[1:]
+            )
+            normal = sparse.csc_matrix(
+                (
+                    np.add.reduceat(products[keep], starts),
+                    row_ids[starts],
+                    indptr,
+                ),
+                shape=(size, size),
+            )
+            try:
+                # Symmetric positive definite when R[A, F] has full
+                # column rank: factor it without pivoting.
+                factor = splu(
+                    normal,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError:  # exactly singular
+                return None
+            target = np.where(active, values - self._offset, 0.0)
+            answer[free] += factor.solve((self._csr_t @ target)[free])
+            if not np.all(np.isfinite(answer)):
+                return None
+        scale = 1.0 + np.max(np.abs(vertex), initial=0.0)
+        if np.max(np.abs(answer - vertex), initial=0.0) > (
+            _ACTIVE_TOLERANCE * scale
+        ):
+            return None
+        return np.minimum(answer, self._bound)
 
 
 def solve_l1(
@@ -218,12 +382,13 @@ def solve_l1(
     values: np.ndarray,
     *,
     upper_bound: float = 0.0,
+    warm: WarmStart | None = None,
 ) -> np.ndarray:
     """Minimise ``‖Rx − y‖₁`` subject to ``x ≤ upper_bound``.
 
     ``matrix`` may be a prebuilt :class:`L1Program` (its own bound must
     then equal ``upper_bound``); otherwise the lift is built for this one
-    call.
+    call.  ``warm`` is passed to :meth:`L1Program.solve`.
     """
     if not isinstance(matrix, L1Program):
         matrix = L1Program(matrix, upper_bound=upper_bound)
@@ -232,7 +397,7 @@ def solve_l1(
             f"L1 program was lifted for x <= {matrix.upper_bound}, "
             f"not x <= {upper_bound}"
         )
-    return matrix.solve(values)
+    return matrix.solve(values, warm=warm)
 
 
 def min_norm_least_squares_with_rank(
@@ -324,16 +489,21 @@ def solve(
     *,
     method: str = "l1",
     upper_bound: float = 0.0,
+    warm: WarmStart | None = None,
 ) -> tuple[np.ndarray, str]:
     """Dispatch to a registered solver; returns ``(x, solver_used)``.
 
     ``matrix`` may be an :class:`L1Program`: the L1 solver then reuses
-    its lift and every other solver works on its ``R``.
+    its lift and every other solver works on its ``R``.  ``warm`` is
+    used by the L1 solver only.
     """
     plain = matrix.matrix if isinstance(matrix, L1Program) else matrix
     if method == "auto":
         try:
-            return solve_l1(matrix, values, upper_bound=upper_bound), "l1"
+            solution = solve_l1(
+                matrix, values, upper_bound=upper_bound, warm=warm
+            )
+            return solution, "l1"
         except SolverError:
             return (
                 solve_bounded_least_squares(
@@ -348,6 +518,8 @@ def solve(
             f"unknown solver {method!r}; available: "
             f"{sorted(SOLVERS)} or 'auto'"
         ) from None
-    if solver is not solve_l1:
-        matrix = plain
-    return solver(matrix, values, upper_bound=upper_bound), method
+    if solver is solve_l1:
+        return solve_l1(
+            matrix, values, upper_bound=upper_bound, warm=warm
+        ), method
+    return solver(plain, values, upper_bound=upper_bound), method

@@ -48,7 +48,7 @@ from repro.core.prepared import (
     get_prepared,
 )
 from repro.core.results import InferenceResult
-from repro.core.solvers import L1Program, solve
+from repro.core.solvers import L1Program, WarmStart, solve
 from repro.core.topology import Topology
 
 __all__ = ["EquationTemplate", "WindowVerdict", "StreamingTomography"]
@@ -149,15 +149,19 @@ class EquationTemplate:
         measurements: PathGoodProvider,
         *,
         algorithm_label: str = "correlation",
+        warm: WarmStart | None = None,
     ) -> InferenceResult:
         """One measurement batch's inference over the cached structure.
 
         Bit-identical to a full :func:`build_equations` plus solve over
         the same observations — the correctness anchor of every surface.
+        ``warm`` is the caller's own warm state for the L1 solve (see
+        :class:`~repro.core.solvers.WarmStart`); it never changes the
+        answer, and the shared template holds none.
         """
         values = self.values(measurements)
         solution, solver_used = solve(
-            self.program, values, method=self.options.solver
+            self.program, values, method=self.options.solver, warm=warm
         )
         # Round-off can leave tiny positive log-probabilities.
         solution = np.minimum(solution, 0.0)
@@ -220,7 +224,10 @@ class StreamingTomography:
     Feed each window's accumulated observations to :meth:`update`; the
     equation structure is the prepared topology's cached
     :class:`EquationTemplate`, so each window pays only the value
-    gather, the solve, and the verdict diff.
+    gather, the solve, and the verdict diff.  The engine owns one
+    :class:`~repro.core.solvers.WarmStart`, so each window's L1 solve
+    starts from the last window's optimal basis; the answers are the
+    bytes a cold solve gives.
 
     Args:
         topology: The measurement topology.
@@ -255,6 +262,7 @@ class StreamingTomography:
         self._prepared: PreparedTopology | None = None
         self._previous: np.ndarray | None = None
         self._window_index = 0
+        self._warm = WarmStart()
 
     @property
     def topology(self) -> Topology:
@@ -284,7 +292,9 @@ class StreamingTomography:
     def update(self, observations: PathGoodProvider) -> WindowVerdict:
         """Infer over the current history and diff against last window."""
         result = self.template().infer(
-            observations, algorithm_label=self._algorithm_label
+            observations,
+            algorithm_label=self._algorithm_label,
+            warm=self._warm,
         )
         congested = result.congestion_probabilities > self._threshold
         congested.flags.writeable = False

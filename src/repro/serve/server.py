@@ -21,9 +21,11 @@ Status mapping: bad payloads → 400, unknown topology/path → 404, store
 at capacity → 409, a request line or header line longer than
 :data:`MAX_LINE_BYTES` → 414 or 431, more than :data:`MAX_HEADERS`
 header lines → 431, a body still short of its Content-Length after
-:data:`BODY_READ_SECONDS` → 408 (each of these four then closes the
-connection), batcher queue full (backpressure) → 429, shutting down →
-503.  Query execution itself happens on a worker thread through
+:data:`BODY_READ_SECONDS` → 408, a Content-Length that is not plain
+ASCII digits → 400, a request body sent with ``Transfer-Encoding`` →
+501 (each of these six then closes the connection), batcher queue full
+(backpressure) → 429, shutting down → 503.  Query execution itself
+happens on a worker thread through
 :func:`repro.eval.parallel.run_scenario_tasks`, so answers are
 bit-identical to the batch CLI's for the same seeds.
 """
@@ -113,6 +115,7 @@ _REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -274,15 +277,18 @@ class TomographyService:
                         )
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0"))
-                    if length < 0:
-                        raise ValueError(length)
-                except ValueError:
-                    await self._respond(
-                        writer, 400, {"error": "bad Content-Length"}
+                if "transfer-encoding" in headers:
+                    raise _HttpError(
+                        501,
+                        "Transfer-Encoding is not supported; "
+                        "send the body with a Content-Length",
                     )
-                    break
+                # HTTP allows digits only; int() would also take "+10"
+                # and "1_0".
+                length = headers.get("content-length", "0")
+                if not (length.isascii() and length.isdigit()):
+                    raise _HttpError(400, "bad Content-Length")
+                length = int(length)
                 if length > MAX_BODY_BYTES:
                     await self._respond(
                         writer,
@@ -320,8 +326,9 @@ class TomographyService:
                 if not keep_alive:
                     break
         except _HttpError as exc:
-            # A request head too long to read, or a body that never
-            # arrives: answer once, then close.
+            # A request head too long to read, a body whose length
+            # cannot be known, or a body that never arrives: answer
+            # once, then close.
             # Closing with the rest of the request unread would reset
             # the connection, which can destroy the answer before the
             # peer reads it; so half-close and drain for a bounded time.

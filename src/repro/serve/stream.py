@@ -102,6 +102,7 @@ class StreamSession:
         self._n_paths = instance.topology.n_paths
         self._max_window = max_window
         self._observations: PathObservations | None = None
+        self._last: WindowVerdict | None = None
         self._engine = StreamingTomography(
             instance.topology,
             instance.correlation,
@@ -120,13 +121,18 @@ class StreamSession:
             )
         else:
             self._observations.append_window(states)
-        return verdict_delta(self._engine.update(self._observations))
+        self._last = self._engine.update(self._observations)
+        return verdict_delta(self._last)
 
     def final(self) -> dict:
-        """The full-history estimates after the last window."""
-        if self._observations is None:
+        """The full-history estimates after the last window.
+
+        The last window's verdict already holds them: its update
+        inferred over exactly the retained observations.
+        """
+        if self._last is None:
             raise ValueError("no windows were streamed")
-        result = self._engine.template().infer(self._observations)
+        result = self._last.result
         return {
             "n_snapshots": int(self._observations.n_snapshots),
             "n_evicted": int(self._observations.n_evicted),

@@ -1,11 +1,33 @@
 """Integration tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import _make_executor, build_parser, main
 
 
+def _subcommands() -> list[str]:
+    parser = build_parser()
+    (commands,) = (
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return sorted(commands.choices)
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", [None, *_subcommands()])
+    def test_help_exits_zero(self, command, capsys):
+        """Every help page renders: argparse %-formats each help string,
+        so a bare ``%`` in one crashes the whole page."""
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -14,6 +14,7 @@ from scipy.optimize import linprog
 from repro.core.solvers import (
     _TIE_BREAK,
     L1Program,
+    WarmStart,
     _log_primes,
     solve_l1,
     solve_min_norm_least_squares,
@@ -370,8 +371,9 @@ def test_real_answers_do_not_depend_on_row_order_or_lift(
 def test_shared_program_solves_identically_across_threads(
     brite_template_system,
 ):
-    """Four threads solve one shared program at once, with a short
-    switch interval: every answer is the serial answer, byte for byte."""
+    """Four threads solve one shared program at once, each warm-started
+    from its own :class:`WarmStart`, with a short switch interval: every
+    answer is the serial cold answer, byte for byte."""
     program, right_hand_sides = brite_template_system
     serial = [program.solve(values).tobytes() for values in right_hand_sides]
     n_threads = 4
@@ -379,13 +381,15 @@ def test_shared_program_solves_identically_across_threads(
     answers, errors = {}, []
 
     def solve_all(slot: int) -> None:
+        warm = WarmStart()
         try:
             barrier.wait(timeout=30)
             answers[slot] = [
-                program.solve(values).tobytes()
+                program.solve(values, warm=warm).tobytes()
                 for _ in range(2)
                 for values in right_hand_sides
             ]
+            assert warm.fallbacks == 0
         except Exception as exc:  # surfaced below
             errors.append(exc)
 
@@ -407,3 +411,77 @@ def test_shared_program_solves_identically_across_threads(
     assert len(answers) == n_threads
     for answer in answers.values():
         assert answer == serial * 2
+
+
+@given(sparse_systems(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_warm_solves_equal_cold_solves_on_sparse_systems(system, random):
+    """Near-degenerate small systems (duplicate rows, uncovered and
+    rank-deficient columns): warm solves in a shuffled order equal cold
+    solves bit for bit."""
+    matrix, right_hand_sides = system
+    program = L1Program(sparse.csr_matrix(matrix))
+    order = right_hand_sides * 2
+    random.shuffle(order)
+    warm = WarmStart()
+    for values in order:
+        assert program.solve(values, warm=warm).tobytes() == (
+            program.solve(values).tobytes()
+        )
+    assert warm.fallbacks == 0
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_warm_solves_in_any_order_equal_cold_solves(
+    brite_template_system, stream_window_values, data
+):
+    """The same windows, solved in a shuffled order (repeats allowed)
+    through one :class:`WarmStart`, give the cold answers bit for bit:
+    the polish makes the answer a function of the vertex, not of the
+    basis a solve started from."""
+    program, right_hand_sides = brite_template_system
+    windows = right_hand_sides + stream_window_values
+    cold = [program.solve(values).tobytes() for values in windows]
+    order = data.draw(
+        st.lists(
+            st.sampled_from(range(len(windows))),
+            min_size=2,
+            max_size=2 * len(windows),
+        )
+    )
+    warm = WarmStart()
+    for index in order:
+        assert program.solve(windows[index], warm=warm).tobytes() == (
+            cold[index]
+        )
+    assert warm.program is program and warm.basis is not None
+    assert warm.fallbacks == 0
+
+
+def test_refused_polish_answers_the_raw_cold_vertex(monkeypatch):
+    """Links 0 and 1 always appear together.  HiGHS answers with a
+    vertex, which puts their sum on one of them; a point that splits it
+    across both is L1-optimal too, but its active submatrix ``R[A, F]``
+    is rank-deficient.  The polish refuses such a point: a warm solve
+    re-solves cold, and the raw cold ``x`` is the answer, counted as a
+    fallback."""
+    matrix = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    values = np.array([-1.0, -1.5, -0.5])
+    program = L1Program(matrix)
+    vertex = program.solve(values)
+    assert vertex.tobytes() == np.array([-1.0, 0.0, -0.5]).tobytes()
+    split = np.array([-0.5, -0.5, -0.5])
+    starts = []
+
+    def split_vertex(values, basis):
+        starts.append(basis)
+        return split.copy(), "basis"
+
+    monkeypatch.setattr(program, "_vertex", split_vertex)
+    warm = WarmStart()
+    assert program.solve(values, warm=warm).tobytes() == split.tobytes()
+    assert warm.fallbacks == 1 and starts == [None]
+    assert program.solve(values, warm=warm).tobytes() == split.tobytes()
+    assert warm.fallbacks == 2 and starts == [None, "basis", None]
+    assert program.solve(values).tobytes() == split.tobytes()

@@ -133,15 +133,38 @@ class TestEndpoints:
         assert response.status == 400
         assert b"invalid JSON" in body
 
-    def test_negative_content_length_is_400(self, harness, client):
+    @pytest.mark.parametrize(
+        "value",
+        [b"-5", b"1_0", b"+10", b" 10x"],
+        ids=["negative", "underscore", "plus-sign", "trailing-junk"],
+    )
+    def test_non_digit_content_length_is_400(self, harness, client, value):
+        """HTTP takes digits only (``int()`` would also take ``1_0`` and
+        ``+10``); the bytes after the head are never read as a body."""
         head, body = raw_exchange(
             harness.service.port,
-            b"POST /topologies HTTP/1.1\r\n"
-            b"Host: localhost\r\n"
-            b"Content-Length: -5\r\n\r\n",
+            b"POST /topologies HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: " + value + b"\r\n\r\n0123456789",
         )
-        assert head.startswith(b"HTTP/1.1 400")
+        assert head.startswith(b"HTTP/1.1 400 ")
         assert json.loads(body) == {"error": "bad Content-Length"}
+        assert client.health()["status"] == "ok"
+
+    def test_chunked_body_gets_one_json_501(self, harness, client):
+        """A chunked body is refused, not read as the next request."""
+        chunked = b'{"generator": {"kind": "toy"}}'
+        head, body = raw_exchange(
+            harness.service.port,
+            b"POST /topologies HTTP/1.1\r\nHost: localhost\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%X\r\n" % len(chunked) + chunked + b"\r\n0\r\n\r\n"
+            + b"GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert json.loads(body) == {
+            "error": "Transfer-Encoding is not supported; "
+            "send the body with a Content-Length"
+        }
         assert client.health()["status"] == "ok"
 
     @pytest.mark.parametrize(
