@@ -23,11 +23,11 @@ LP without a densify round-trip.  The LP lift of a fixed ``R`` is an
 
 :meth:`L1Program.solve` is the package's one call into HiGHS, through the
 pybind binding scipy ships (``scipy.optimize._highspy._core``).  The
-lifted matrix, bounds and objective are converted once per program, and
-a solve fills only the right-hand side.  A caller that solves one
-program repeatedly (a stream) passes a :class:`WarmStart` so each solve
-starts from the last optimal basis; an active-set polish makes the
-answer the same bytes warm or cold.
+lifted model is built once per program with ``y`` in the bounds of fixed
+columns, so a solve only sets those bounds.  A caller that solves one
+program repeatedly (a stream) passes a :class:`WarmStart`, which keeps
+one live HiGHS model re-solved from its last optimal basis; an
+active-set polish makes the answer the same bytes warm or cold.
 """
 
 from __future__ import annotations
@@ -149,36 +149,46 @@ def _row_products(matrix) -> tuple:
 class WarmStart:
     """Caller-owned warm state for repeated solves of one program.
 
-    Holds the last optimal HiGHS basis.  Successive solves of one
-    :class:`L1Program` change only ``y``, so that basis stays dual
-    feasible and the next solve starts from it instead of from the slack
-    basis.  The polish in :meth:`L1Program.solve` makes the answer a
-    function of the optimal vertex alone, so a warm solve returns the
-    same bytes as a cold one.
+    Holds one live HiGHS model of the last program it was used with.
+    Successive solves of one :class:`L1Program` change only ``y``, which
+    lives in fixed column bounds, so a warm solve sets those bounds on
+    the live model and re-runs it from its last optimal basis: no model
+    is built or converted.  The polish in :meth:`L1Program.solve` makes
+    the answer a function of the optimal vertex alone, so a warm solve
+    returns the same bytes as a cold one.
 
-    A warm state is bound to the last program it was used with (a solve
-    on another program starts cold and rebinds it) and is not safe to
-    share across threads: keep one per stream or per thread.
+    A solve on another program starts cold and rebinds the warm state
+    to that program's model; a solve that raises drops the live model,
+    so the next one starts cold.  The live model is mutable: never let
+    two threads use one warm state at once (keep one per stream or per
+    thread).  It costs the memory of one solved HiGHS model, about the
+    size of the lifted constraint matrix plus its factorisation.
 
     Attributes:
         fallbacks: Solves whose polish was refused, answered with the
             raw cold vertex instead.
     """
 
-    __slots__ = ("program", "basis", "fallbacks")
+    __slots__ = ("program", "highs", "fallbacks")
 
     def __init__(self) -> None:
         self.program: L1Program | None = None
-        self.basis = None
+        self.highs = None
         self.fallbacks = 0
 
 
 class L1Program:
     """The L1 estimate ``min ‖Rx − y‖₁ s.t. x ≤ upper_bound`` for one ``R``.
 
-    The residual splits into ``p, q ≥ 0`` per row, in equality form:
+    The residual splits into ``p, q ≥ 0`` per row, and ``y`` sits in
+    columns ``s`` fixed at ``y`` (cost 0), in equality form:
 
-        [R  −I  I] [x; p; q] = y,    minimise  Σ(p + q) − ε Σ w_j x_j
+        [R  −I  I  −I] [x; p; q; s] = 0,    s = y,
+        minimise  Σ(p + q) − ε Σ w_j x_j
+
+    The rows never change, so a new ``y`` is one vectorised column-bound
+    change on a model built once, and every solve, cold or warm, runs
+    this one model.
 
     The L1 optimum is often a whole face, not one point.  The second
     term picks one point of it: among L1-optimal ``x``, the one that
@@ -206,19 +216,25 @@ class L1Program:
     rank, so the polish moves ``x`` only by round-off.  If the normal
     matrix is singular, the result is not finite, or it would move
     ``x`` by more than ``1e-9 (1 + max |x|)``, the polish is refused:
-    a warm solve re-solves cold, and if the cold vertex is refused too
-    the raw cold ``x`` is the answer and the warm state counts a
-    fallback.
+    a warm solve re-solves cold on a fresh instance, which the warm
+    state then adopts, and if the cold vertex is refused too the raw
+    cold ``x`` is the answer and the warm state counts a fallback.
+
+    HiGHS's primal and dual feasibility tolerances are set to 1e-10
+    (its minimum; the default is 1e-7).  Neighbouring vertices of the
+    blended objective differ at the 1e-7 scale, so with the defaults a
+    warm and a cold solve could stop at different vertices: ``x_j = 0``
+    against ``x_j = -6.5e-8`` on 2 of 100 windows of a 361 x 450
+    stream.
 
     Columns of ``R`` that are entirely zero (links covered by no
-    equation) are pinned to 0.  The constraint matrix, bounds and
-    objective depend on ``R`` alone and are built once; :meth:`solve`
-    only fills ``y``.
+    equation) are pinned to 0.  The model depends on ``R`` alone and is
+    built once; :meth:`solve` only sets the ``s`` bounds.
 
-    A program is safe to share across threads: the prebuilt HiGHS
-    objects are only ever copied from, and every solve runs on its own
-    model and solver.  Warm state belongs to the caller, never to the
-    shared program.
+    A program is safe to share across threads: the prebuilt HiGHS model
+    is only ever copied from, and a cold solve runs on a fresh instance
+    of it.  Warm state, with its live instance, belongs to the caller,
+    never to the shared program.
     """
 
     def __init__(self, matrix, *, upper_bound: float = 0.0) -> None:
@@ -226,15 +242,19 @@ class L1Program:
         n_rows, n_cols = matrix.shape
         identity = sparse.identity(n_rows, format="csc")
         constraint = sparse.hstack(
-            [sparse.csc_matrix(matrix), -identity, identity], format="csc"
+            [sparse.csc_matrix(matrix), -identity, identity, -identity],
+            format="csc",
         )
         constraint.sort_indices()
         covered = _covered_columns(matrix)
-        n_lifted = n_cols + 2 * n_rows
+        n_lifted = n_cols + 3 * n_rows
         lower = np.zeros(n_lifted)
         upper = np.full(n_lifted, np.inf)
         lower[:n_cols] = np.where(covered, -np.inf, 0.0)
         upper[:n_cols] = np.where(covered, upper_bound, 0.0)
+        # The s columns hold y; every solve fixes them with one
+        # changeColsBounds call, so 0 here is only a placeholder.
+        upper[n_cols + 2 * n_rows :] = 0.0
         # The binding copies numpy arrays into the sparse matrix element
         # by element; lists convert several times faster.
         lp_matrix = _highs.HighsSparseMatrix()
@@ -243,11 +263,30 @@ class L1Program:
         lp_matrix.start_ = constraint.indptr.tolist()
         lp_matrix.index_ = constraint.indices.tolist()
         lp_matrix.value_ = constraint.data.tolist()
+        lp = _highs.HighsLp()
+        lp.num_row_, lp.num_col_ = constraint.shape
+        lp.a_matrix_ = lp_matrix
+        lp.col_cost_ = np.concatenate(
+            [
+                -_TIE_BREAK * _log_primes(n_cols),
+                np.ones(2 * n_rows),
+                np.zeros(n_rows),
+            ]
+        )
+        lp.col_lower_ = lower
+        lp.col_upper_ = upper
+        lp.row_lower_ = lp.row_upper_ = np.zeros(n_rows)
+        lp.integrality_ = [_highs.HighsVarType.kContinuous] * n_lifted
         options = _highs.HighsOptions()
         options.log_to_console = False
         # Presolve costs more than it saves on this form: 9.5 vs 7.1 ms
         # median per solve, interleaved, on 361 x 450 stream windows.
         options.presolve = "off"
+        # Neighbouring vertices differ in the blended objective at the
+        # 1e-7 scale, inside the default tolerances (see the class
+        # docstring).
+        options.primal_feasibility_tolerance = 1e-10
+        options.dual_feasibility_tolerance = 1e-10
         self.matrix = matrix
         self.upper_bound = upper_bound
         self.shape = (n_rows, n_cols)
@@ -256,69 +295,78 @@ class L1Program:
         self._products = _row_products(self._csr)
         self._bound = upper[:n_cols].copy()
         self._offset = self._csr @ self._bound
-        self._lp_matrix = lp_matrix
+        self._lp = lp
         self._options = options
-        self._col_lower = lower
-        self._col_upper = upper
-        self._objective = np.concatenate(
-            [-_TIE_BREAK * _log_primes(n_cols), np.ones(2 * n_rows)]
+        self._y_columns = np.arange(
+            n_cols + 2 * n_rows, n_lifted, dtype=np.int32
         )
-        self._integrality = [_highs.HighsVarType.kContinuous] * n_lifted
 
     def solve(
         self, values: np.ndarray, *, warm: WarmStart | None = None
     ) -> np.ndarray:
         """The canonical L1-optimal ``x`` for one right-hand side ``y``.
 
-        ``warm`` starts HiGHS from the basis of the last solve made with
-        it and keeps this solve's basis for the next one; the answer is
-        the same bytes either way.
+        ``warm`` re-solves its live model of this program with the new
+        ``y``, starting from the last optimal basis; without it the
+        solve runs on a fresh model.  The answer is the same bytes
+        either way.
         """
         values = _as_values(values, self.shape[0])
-        basis = None
+        live = None
         if warm is not None and warm.program is self:
-            basis = warm.basis
-        vertex, vertex_basis = self._vertex(values, basis)
+            live = warm.highs
+        highs = live if live is not None else self._model()
+        try:
+            vertex = self._vertex(highs, values)
+        except SolverError:
+            if warm is not None:
+                # A failed run may leave the live model in any state.
+                warm.program = warm.highs = None
+            raise
         answer = self._polish(values, vertex)
-        if answer is None and basis is not None:
-            vertex, vertex_basis = self._vertex(values, None)
+        if answer is None and live is not None:
+            highs = self._model()
+            vertex = self._vertex(highs, values)
             answer = self._polish(values, vertex)
         if warm is not None:
-            warm.program, warm.basis = self, vertex_basis
+            warm.program, warm.highs = self, highs
             if answer is None:
                 warm.fallbacks += 1
         return vertex if answer is None else answer
 
-    def _vertex(self, values: np.ndarray, basis) -> tuple:
-        """HiGHS's optimal ``x`` and basis, started from ``basis``."""
-        n_rows, n_cols = self.shape
-        lp = _highs.HighsLp()
-        lp.num_row_, lp.num_col_ = n_rows, n_cols + 2 * n_rows
-        lp.a_matrix_ = self._lp_matrix
-        lp.col_cost_ = self._objective
-        lp.col_lower_ = self._col_lower
-        lp.col_upper_ = self._col_upper
-        lp.row_lower_ = values
-        lp.row_upper_ = values
-        lp.integrality_ = self._integrality
+    def _model(self):
+        """A fresh HiGHS instance holding this program."""
         highs = _highs._Highs()
         error = _highs.HighsStatus.kError
         if highs.passOptions(self._options) == error:
             raise SolverError("L1 linear program failed: bad HiGHS options")
-        # HiGHS rejects a NaN or infinite y here; running such a model
-        # anyway crashes the interpreter.
-        if highs.passModel(lp) == error:
+        if highs.passModel(self._lp) == error:
             raise SolverError("L1 linear program failed: model error")
-        if basis is not None:
-            highs.setBasis(basis)
+        return highs
+
+    def _vertex(self, highs, values: np.ndarray) -> np.ndarray:
+        """HiGHS's optimal ``x`` for ``y = values`` on instance ``highs``.
+
+        Starts from the instance's current basis: the slack basis on a
+        fresh model, the last optimal basis on a live one.
+        """
+        error = _highs.HighsStatus.kError
+        # HiGHS refuses a NaN or infinite y here, keeping the previous
+        # bounds; a run() after that would solve the previous y.
+        if (
+            highs.changeColsBounds(
+                values.size, self._y_columns, values, values
+            )
+            == error
+        ):
+            raise SolverError("L1 linear program failed: y is not finite")
         if (
             highs.run() == error
             or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal
         ):
             status = highs.modelStatusToString(highs.getModelStatus())
             raise SolverError(f"L1 linear program failed: {status}")
-        solution = np.array(highs.getSolution().col_value[:n_cols])
-        return solution, highs.getBasis()
+        return np.array(highs.getSolution().col_value[: self.shape[1]])
 
     def _polish(self, values: np.ndarray, vertex: np.ndarray):
         """The vertex re-solved on its active set, or ``None`` if refused."""
@@ -331,24 +379,24 @@ class L1Program:
             # the sum of the active rows' entry products, which come
             # sorted into CSC order with duplicates adjacent.
             rows, left, right, products = self._products
-            keep = active[rows] & free[left] & free[right]
-            index = np.cumsum(free) - 1
-            size = int(index[-1]) + 1
-            row_ids, col_ids = index[left[keep]], index[right[keep]]
-            first = np.ones(row_ids.size, dtype=bool)
-            first[1:] = (row_ids[1:] != row_ids[:-1]) | (
-                col_ids[1:] != col_ids[:-1]
-            )
-            starts = np.flatnonzero(first)
-            if not starts.size:
+            kept = np.flatnonzero(active[rows] & free[left] & free[right])
+            if not kept.size:
                 return None
-            indptr = np.zeros(size + 1, dtype=np.int64)
+            # int32 ids let the CSC matrix and splu take them uncopied.
+            index = np.cumsum(free, dtype=np.int32) - 1
+            size = int(index[-1]) + 1
+            row_ids, col_ids = index[left[kept]], index[right[kept]]
+            entry = col_ids.astype(np.int64) * size + row_ids
+            first = np.ones(entry.size, dtype=bool)
+            np.not_equal(entry[1:], entry[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            indptr = np.zeros(size + 1, dtype=np.int32)
             np.cumsum(
                 np.bincount(col_ids[starts], minlength=size), out=indptr[1:]
             )
             normal = sparse.csc_matrix(
                 (
-                    np.add.reduceat(products[keep], starts),
+                    np.add.reduceat(products[kept], starts),
                     row_ids[starts],
                     indptr,
                 ),

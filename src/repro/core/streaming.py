@@ -226,8 +226,9 @@ class StreamingTomography:
     :class:`EquationTemplate`, so each window pays only the value
     gather, the solve, and the verdict diff.  The engine owns one
     :class:`~repro.core.solvers.WarmStart`, so each window's L1 solve
-    starts from the last window's optimal basis; the answers are the
-    bytes a cold solve gives.
+    re-runs one live HiGHS model from the last window's optimal basis;
+    the answers are the bytes a cold solve gives.  Like the warm state,
+    an engine serves one thread at a time.
 
     Args:
         topology: The measurement topology.

@@ -20,10 +20,12 @@ POST       ``/topologies/<fp>/stream``        Window uploads → chunked deltas
 Status mapping: bad payloads → 400, unknown topology/path → 404, store
 at capacity → 409, a request line or header line longer than
 :data:`MAX_LINE_BYTES` → 414 or 431, more than :data:`MAX_HEADERS`
-header lines → 431, a body still short of its Content-Length after
-:data:`BODY_READ_SECONDS` → 408, a Content-Length that is not plain
-ASCII digits → 400, a request body sent with ``Transfer-Encoding`` →
-501 (each of these six then closes the connection), batcher queue full
+header lines → 431, header lines still incomplete
+:data:`HEAD_READ_SECONDS` after the request line → 408, a body still
+short of its Content-Length after :data:`BODY_READ_SECONDS` → 408, a
+Content-Length that is not plain ASCII digits → 400, a request body
+sent with ``Transfer-Encoding`` → 501 (each of these seven then closes
+the connection), batcher queue full
 (backpressure) → 429, shutting down → 503.  Query execution itself
 happens on a worker thread through
 :func:`repro.eval.parallel.run_scenario_tasks`, so answers are
@@ -57,6 +59,12 @@ MAX_LINE_BYTES = 64 * 1024
 #: Upper bound on the number of header lines in one request.
 MAX_HEADERS = 100
 
+#: How long the header lines may take to arrive once the request line
+#: is read; a client that stalls mid-head would otherwise hold the
+#: connection forever.  An idle keep-alive connection waiting for its
+#: next request line is not timed.
+HEAD_READ_SECONDS = 10.0
+
 #: How long a request body may take to arrive once its head is read; a
 #: body shorter than its Content-Length would otherwise hold the
 #: connection forever.
@@ -80,6 +88,29 @@ async def _read_line(reader, status: int, what: str) -> bytes:
     except ValueError:  # asyncio's LimitOverrunError, re-raised
         raise _HttpError(
             status, f"{what} exceeds {MAX_LINE_BYTES} bytes"
+        ) from None
+
+
+async def _read_headers(reader) -> dict:
+    """The header lines up to the blank line, names lower-cased; a head
+    with too many lines or still incomplete after the deadline is
+    refused."""
+    headers = {}
+    try:
+        async with asyncio.timeout(HEAD_READ_SECONDS):
+            for count in range(MAX_HEADERS + 1):
+                line = await _read_line(reader, 431, "header line")
+                if line in (b"\r\n", b"\n", b""):
+                    return headers
+                if count == MAX_HEADERS:
+                    raise _HttpError(
+                        431, f"more than {MAX_HEADERS} header lines"
+                    )
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+    except TimeoutError:
+        raise _HttpError(
+            408, f"request head incomplete after {HEAD_READ_SECONDS} s"
         ) from None
 
 
@@ -266,17 +297,7 @@ class TomographyService:
                         writer, 400, {"error": "malformed request line"}
                     )
                     break
-                headers = {}
-                for count in range(MAX_HEADERS + 1):
-                    line = await _read_line(reader, 431, "header line")
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    if count == MAX_HEADERS:
-                        raise _HttpError(
-                            431, f"more than {MAX_HEADERS} header lines"
-                        )
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+                headers = await _read_headers(reader)
                 if "transfer-encoding" in headers:
                     raise _HttpError(
                         501,
@@ -326,9 +347,9 @@ class TomographyService:
                 if not keep_alive:
                     break
         except _HttpError as exc:
-            # A request head too long to read, a body whose length
-            # cannot be known, or a body that never arrives: answer
-            # once, then close.
+            # A request head too long to read or that never completes,
+            # a body whose length cannot be known, or a body that never
+            # arrives: answer once, then close.
             # Closing with the rest of the request unread would reset
             # the connection, which can destroy the answer before the
             # peer reads it; so half-close and drain for a bounded time.

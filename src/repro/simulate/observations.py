@@ -35,11 +35,14 @@ Streaming
 The estimator state is *appendable*: :meth:`PathObservations.append_window`
 admits a new window of snapshot rows, updating every materialised cache
 incrementally — the joint-good Gram accumulates ``good_w.T @ good_w``, the
-packed-row/mask-count caches gain exactly the new rows, and the per-path
-log cache is invalidated (it is O(paths) to rebuild).  A bounded sliding
-window (``max_window=``, or explicit :meth:`evict_oldest`) drops the
-oldest rows by *subtracting* their Gram/count contributions; because every
-count is an exact integer, the subtracted state is bit-identical to a
+pair-count cache (the joint good counts of the last small pairs array
+:meth:`~PathObservations.joint_good_counts` was asked for) gains the new
+rows' counts, the packed-row/mask-count caches gain exactly the new rows,
+and the per-path log cache is invalidated (it is O(paths) to rebuild).
+A bounded sliding window (``max_window=``, or explicit
+:meth:`evict_oldest`) drops the oldest rows by *subtracting* their
+Gram/pair-count/count contributions; because every count is an exact
+integer, the subtracted state is bit-identical to a
 from-scratch rebuild over the surviving rows — asserted under
 ``__debug__`` on the first eviction (and on every eviction when the
 ``REPRO_STREAM_VERIFY`` environment variable is set), with a full
@@ -82,6 +85,12 @@ def _window_gram(good_w: np.ndarray) -> np.ndarray:
     return (good.T @ good).astype(np.int64)
 
 
+def _pair_window_counts(good_w: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Rows of ``good_w`` in which both paths of each pair are good."""
+    both = good_w[:, pairs[:, 0]] & good_w[:, pairs[:, 1]]
+    return both.sum(axis=0).astype(np.int64)
+
+
 class PathObservations:
     """Observed path congestion verdicts for one experiment.
 
@@ -122,6 +131,9 @@ class PathObservations:
         self._log_good_all: np.ndarray | None = None
         self._joint_gram: np.ndarray | None = None
         self._packed_rows: np.ndarray | None = None
+        # (pairs, counts) of the last small pair query; see
+        # joint_good_counts.
+        self._pair_counts: tuple[np.ndarray, np.ndarray] | None = None
         self._refresh_views()
         if max_window is not None and self.n_snapshots > max_window:
             self.evict_oldest(self.n_snapshots - max_window)
@@ -215,6 +227,9 @@ class PathObservations:
         self._log_good_all = None
         if self._joint_gram is not None:
             self._joint_gram += _window_gram(good_w)
+        if self._pair_counts is not None:
+            pairs, counts = self._pair_counts
+            counts += _pair_window_counts(good_w, pairs)
         if self._packed_rows is not None:
             packed_w = np.packbits(window, axis=1, bitorder="little")
             self._packed_rows = np.concatenate([self._packed_rows, packed_w])
@@ -250,6 +265,9 @@ class PathObservations:
         self._log_good_all = None
         if self._joint_gram is not None:
             self._joint_gram -= _window_gram(old_good)
+        if self._pair_counts is not None:
+            pairs, counts = self._pair_counts
+            counts -= _pair_window_counts(old_good, pairs)
         if self._packed_rows is not None:
             evicted_packed = self._packed_rows[:count]
             if self._mask_counts is not None:
@@ -319,6 +337,11 @@ class PathObservations:
             assert np.array_equal(
                 self._joint_gram, fresh.joint_good_gram()
             ), "incremental Gram diverged from recompute"
+        if self._pair_counts is not None:
+            pairs, counts = self._pair_counts
+            assert np.array_equal(
+                counts, fresh.joint_good_counts(pairs)
+            ), "incremental pair counts diverged from recompute"
         if self._packed_rows is not None:
             assert np.array_equal(
                 self._packed_rows, fresh._ensure_packed_rows()
@@ -380,7 +403,14 @@ class PathObservations:
         return pairs
 
     def joint_good_counts(self, pairs) -> np.ndarray:
-        """Joint good counts for an ``(m, 2)`` array of path-id pairs."""
+        """Joint good counts for an ``(m, 2)`` array of path-id pairs.
+
+        Below :data:`_GRAM_QUERY_THRESHOLD` pairs (and with no Gram
+        materialised) the counts are gathered from the columns, and the
+        counts of the last pairs array asked for are kept and maintained
+        across appends and evictions, so a stream asking for the same
+        pairs every window pays only for the rows that changed.
+        """
         pairs = self._check_pairs(pairs)
         if pairs.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
@@ -388,8 +418,12 @@ class PathObservations:
             self._joint_gram is None
             and pairs.shape[0] < _GRAM_QUERY_THRESHOLD
         ):
-            both = self._good[:, pairs[:, 0]] & self._good[:, pairs[:, 1]]
-            return both.sum(axis=0).astype(np.int64)
+            cached = self._pair_counts
+            if cached is None or not np.array_equal(cached[0], pairs):
+                counts = _pair_window_counts(self._good, pairs)
+                cached = (pairs.copy(), counts)
+                self._pair_counts = cached
+            return cached[1].copy()
         gram = self.joint_good_gram()
         return gram[pairs[:, 0], pairs[:, 1]]
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.solvers import (
     L1Program,
+    WarmStart,
     solve,
     solve_bounded_least_squares,
     solve_l1,
@@ -137,3 +138,27 @@ class TestHighsFailures:
         for lifted in (matrix, program):
             _, used = solve(lifted, values, method="auto")
             assert used == "least_squares"
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
+    )
+    def test_non_finite_y_on_a_live_model_raises(self, bad):
+        """HiGHS refuses a non-finite ``y`` as column bounds and keeps
+        the previous ones, so a live model re-run would answer for the
+        previous ``y``: the solve must raise instead, warm and cold, and
+        the next finite ``y`` gets the cold answer."""
+        matrix = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        program = L1Program(matrix)
+        warm = WarmStart()
+        program.solve(np.array([-0.5, -0.8, -0.3]), warm=warm)
+        assert warm.highs is not None
+        values = np.array([-0.5, bad, -0.3])
+        with pytest.raises(SolverError):
+            program.solve(values, warm=warm)
+        with pytest.raises(SolverError):
+            program.solve(values)
+        finite = np.array([-0.2, -0.9, -0.4])
+        assert program.solve(finite, warm=warm).tobytes() == (
+            program.solve(finite).tobytes()
+        )
+        assert warm.program is program and warm.fallbacks == 0

@@ -439,7 +439,8 @@ def test_warm_solves_in_any_order_equal_cold_solves(
     """The same windows, solved in a shuffled order (repeats allowed)
     through one :class:`WarmStart`, give the cold answers bit for bit:
     the polish makes the answer a function of the vertex, not of the
-    basis a solve started from."""
+    basis a solve started from.  Every warm solve re-runs the one live
+    model the first one built."""
     program, right_hand_sides = brite_template_system
     windows = right_hand_sides + stream_window_values
     cold = [program.solve(values).tobytes() for values in windows]
@@ -451,11 +452,54 @@ def test_warm_solves_in_any_order_equal_cold_solves(
         )
     )
     warm = WarmStart()
+    live = None
     for index in order:
         assert program.solve(windows[index], warm=warm).tobytes() == (
             cold[index]
         )
-    assert warm.program is program and warm.basis is not None
+        assert warm.program is program and warm.highs is not None
+        live = live or warm.highs
+        assert warm.highs is live
+    assert warm.fallbacks == 0
+
+
+def test_warm_stream_equals_cold_on_a_near_degenerate_window(
+    brite_template,
+):
+    """A 4000-snapshot sliding stream of 200-snapshot windows (the
+    ``stream_sliding`` recipe: 50 distinct windows of seed 13, cycled).
+    Window 27's optimal face has vertices whose blended objectives differ
+    by ~1e-7; under HiGHS's default feasibility tolerances a warm solve
+    stopped at ``x_j = -6.5e-8`` where a cold one stopped at ``x_j = 0``.
+    Every window's warm answer must equal the cold one byte for byte."""
+    from repro.eval.scenario import make_clustered_scenario
+    from repro.simulate.experiment import ExperimentConfig, run_experiment
+    from repro.simulate.observations import PathObservations
+    from repro.utils.rng import spawn_children
+
+    instance, template = brite_template
+    window, distinct = 200, 50
+    scenario_seed, run_seed = spawn_children(13, 2)
+    scenario = make_clustered_scenario(
+        instance, congested_fraction=0.1, seed=scenario_seed
+    )
+    states = run_experiment(
+        instance.topology,
+        scenario.truth_model,
+        config=ExperimentConfig(
+            n_snapshots=distinct * window, packets_per_path=800
+        ),
+        seed=run_seed,
+    ).observations.path_states
+    windows = np.ascontiguousarray(states).reshape(distinct, window, -1)
+    observations = PathObservations(windows[0], max_window=20 * window)
+    program, warm = template.program, WarmStart()
+    for index in range(1, 30):
+        observations.append_window(windows[index])
+        values = template.values(observations)
+        assert program.solve(values, warm=warm).tobytes() == (
+            program.solve(values).tobytes()
+        ), f"window {index}"
     assert warm.fallbacks == 0
 
 
@@ -465,23 +509,27 @@ def test_refused_polish_answers_the_raw_cold_vertex(monkeypatch):
     across both is L1-optimal too, but its active submatrix ``R[A, F]``
     is rank-deficient.  The polish refuses such a point: a warm solve
     re-solves cold, and the raw cold ``x`` is the answer, counted as a
-    fallback."""
+    fallback.  The fresh model of that cold re-solve becomes the warm
+    state's live model."""
     matrix = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
     values = np.array([-1.0, -1.5, -0.5])
     program = L1Program(matrix)
     vertex = program.solve(values)
     assert vertex.tobytes() == np.array([-1.0, 0.0, -0.5]).tobytes()
     split = np.array([-0.5, -0.5, -0.5])
-    starts = []
+    models = []
 
-    def split_vertex(values, basis):
-        starts.append(basis)
-        return split.copy(), "basis"
+    def split_vertex(highs, values):
+        models.append(highs)
+        return split.copy()
 
     monkeypatch.setattr(program, "_vertex", split_vertex)
     warm = WarmStart()
     assert program.solve(values, warm=warm).tobytes() == split.tobytes()
-    assert warm.fallbacks == 1 and starts == [None]
+    assert warm.fallbacks == 1 and len(models) == 1
+    assert warm.highs is models[0]
     assert program.solve(values, warm=warm).tobytes() == split.tobytes()
-    assert warm.fallbacks == 2 and starts == [None, "basis", None]
+    assert warm.fallbacks == 2 and len(models) == 3
+    assert models[1] is models[0] and models[2] is not models[0]
+    assert warm.highs is models[2]
     assert program.solve(values).tobytes() == split.tobytes()

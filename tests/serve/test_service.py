@@ -10,6 +10,7 @@ entry points in subprocesses.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import pathlib
 import signal
@@ -17,6 +18,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +215,44 @@ class TestEndpoints:
             "error": "body shorter than Content-Length 100 after 0.2 s"
         }
         assert client.health()["status"] == "ok"
+
+    def test_stalled_head_gets_one_json_408(
+        self, harness, client, monkeypatch
+    ):
+        """A client that sends the request line and one header line,
+        then stalls, is answered and closed at the head deadline."""
+        monkeypatch.setattr(server, "HEAD_READ_SECONDS", 0.2)
+        head, body = raw_exchange(
+            harness.service.port,
+            b"GET /health HTTP/1.1\r\nHost: localhost\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert json.loads(body) == {
+            "error": "request head incomplete after 0.2 s"
+        }
+        assert client.health()["status"] == "ok"
+
+    def test_idle_keep_alive_connection_is_not_timed(
+        self, harness, monkeypatch
+    ):
+        """The head deadline starts at the request line: a keep-alive
+        connection idle for longer between requests is still served."""
+        monkeypatch.setattr(server, "HEAD_READ_SECONDS", 0.2)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", harness.service.port, timeout=10
+        )
+        try:
+            sockets = []
+            for _ in range(2):
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+                sockets.append(connection.sock)
+                time.sleep(0.5)
+        finally:
+            connection.close()
+        assert sockets[0] is sockets[1]
 
 
 class TestQueries:

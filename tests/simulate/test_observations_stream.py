@@ -184,3 +184,43 @@ class TestSlidingBuffer:
         assert np.array_equal(
             observations.path_states, np.concatenate(windows, axis=0)
         )
+
+
+class TestPairCounts:
+    """The counts of the last small pairs query are kept and maintained
+    from the appended and evicted rows alone."""
+
+    PAIRS = np.array([[0, 1], [2, 5], [3, 3], [4, 0]])
+
+    def test_pair_counts_follow_appends_and_evictions(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STREAM_VERIFY", "1")
+        windows = random_windows(9, 40, n_paths=6)
+        observations = PathObservations(windows[0], max_window=12)
+        history = [windows[0]]
+        for window in windows[1:]:
+            retained = np.concatenate(history, axis=0)[-12:]
+            assert np.array_equal(
+                observations.joint_good_counts(self.PAIRS),
+                PathObservations(retained).joint_good_counts(self.PAIRS),
+            )
+            observations.append_window(window)
+            history.append(window)
+        assert observations.n_evicted > 0
+        # Served from the pair counts, never from a Gram matrix.
+        assert observations._joint_gram is None
+
+    def test_cache_follows_the_pairs_asked_for(self):
+        windows = random_windows(10, 6, n_paths=6)
+        observations = PathObservations(windows[0])
+        pairs = self.PAIRS.copy()
+        counts = observations.joint_good_counts(pairs)
+        counts[:] = -1
+        pairs[0] = [5, 5]
+        for window in windows[1:]:
+            observations.append_window(window)
+        scratch = PathObservations(np.concatenate(windows, axis=0))
+        for query in (self.PAIRS, pairs, self.PAIRS):
+            assert np.array_equal(
+                observations.joint_good_counts(query),
+                scratch.joint_good_counts(query),
+            )
