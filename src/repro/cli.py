@@ -1864,6 +1864,19 @@ def _instance_from_flags(args):
     )
 
 
+def _validated(instance, query: dict) -> dict:
+    """``query`` once :func:`repro.serve.queries.validate_query` passes
+    it; the service answers the same refusals with a 400."""
+    from repro.serve.queries import validate_query
+
+    try:
+        validate_query(instance, dict(query))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return query
+
+
 def _run_localize(args) -> int:
     from repro.io import canonical_json
     from repro.serve.queries import encode_vectors, run_query
@@ -1884,7 +1897,10 @@ def _run_localize(args) -> int:
     else:
         query["max_subset_size"] = args.max_subset_size
     result = run_query(
-        instance, query, workers=args.workers, cache=_make_cache(args)
+        instance,
+        _validated(instance, query),
+        workers=args.workers,
+        cache=_make_cache(args),
     )
     print(canonical_json({"result": encode_vectors(result)}))
     return 0
@@ -2117,7 +2133,7 @@ def _shift_overrides(args, demand) -> list[dict]:
 def _run_predict(args) -> int:
     from repro.io import canonical_json
     from repro.predict.tasks import whatif_vectors_to_result
-    from repro.serve.queries import encode_vectors, run_query, validate_query
+    from repro.serve.queries import encode_vectors, run_query
     from repro.utils.tables import format_table
 
     instance = _instance_from_flags(args)
@@ -2140,12 +2156,11 @@ def _run_predict(args) -> int:
             None if args.packets_per_path == 0 else args.packets_per_path
         ),
     }
-    try:
-        validate_query(instance, dict(query))
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
     result = run_query(
-        instance, query, workers=args.workers, cache=_make_cache(args)
+        instance,
+        _validated(instance, query),
+        workers=args.workers,
+        cache=_make_cache(args),
     )
     if args.format == "json":
         print(canonical_json({"result": encode_vectors(result)}))

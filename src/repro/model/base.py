@@ -58,9 +58,17 @@ class SetCongestionModel(abc.ABC):
         """Draw ``n_snapshots`` i.i.d. states as a boolean matrix.
 
         Row ``t`` is snapshot ``t``; columns follow :attr:`member_order`.
-        The base implementation loops over :meth:`sample`; concrete models
-        override it with vectorised draws (the simulator's hot path).
+        A model with a :attr:`uniform_width` draws its uniforms in one
+        call and maps them with :meth:`states_from` (the simulator's hot
+        path); the base implementation otherwise loops over
+        :meth:`sample`, and other concrete models override it with their
+        own vectorised draws.
         """
+        width = self.uniform_width
+        if width is not None:
+            return self.states_from(
+                rng.random(n_snapshots * width), n_snapshots
+            )
         order = self.member_order
         index = {link_id: column for column, link_id in enumerate(order)}
         out = np.zeros((n_snapshots, len(order)), dtype=bool)
@@ -68,6 +76,36 @@ class SetCongestionModel(abc.ABC):
             for link_id in self.sample(rng):
                 out[row, index[link_id]] = True
         return out
+
+    @property
+    def sampler(self) -> "SetCongestionModel":
+        """The model that draws this set's states: ``self``, or a model
+        over the links that can congest when the others never do, whose
+        :meth:`sample_matrix` consumes the generator exactly as this
+        one's."""
+        return self
+
+    @property
+    def uniform_width(self) -> int | None:
+        """Uniforms per snapshot that :meth:`states_from` maps to states,
+        or ``None`` when the model does not draw a fixed block of
+        uniforms."""
+        return None
+
+    def states_from(
+        self, uniforms: np.ndarray, n_snapshots: int
+    ) -> np.ndarray:
+        """The :meth:`sample_matrix` states made from ``n_snapshots x``
+        :attr:`uniform_width` uniforms, in the order one
+        ``rng.random`` call draws them.
+
+        A caller may draw the uniforms of several models in one call and
+        hand each its slice: consecutive ``rng.random`` calls draw the
+        same numbers as one call of their total size.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not map uniforms to states"
+        )
 
     @abc.abstractmethod
     def marginal(self, link_id: int) -> float:

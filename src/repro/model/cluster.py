@@ -56,6 +56,12 @@ class ActiveSubsetModel(SetCongestionModel):
     def inner(self) -> SetCongestionModel:
         return self._inner
 
+    @property
+    def sampler(self) -> SetCongestionModel:
+        # The inactive links never congest, and sample_matrix draws
+        # exactly what the inner model's does.
+        return self._inner.sampler
+
     def sample(self, rng: np.random.Generator) -> frozenset[int]:
         return self._inner.sample(rng)
 

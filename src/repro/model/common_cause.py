@@ -91,11 +91,19 @@ class CommonCauseModel(SetCongestionModel):
             link_id for link_id, hit in zip(self._order, draws) if hit
         )
 
-    def sample_matrix(
-        self, rng: np.random.Generator, n_snapshots: int
+    @property
+    def uniform_width(self) -> int:
+        # One uniform for the cause, then one per member link.
+        return 1 + len(self._order)
+
+    def states_from(
+        self, uniforms: np.ndarray, n_snapshots: int
     ) -> np.ndarray:
-        cause_fired = rng.random(n_snapshots) < self._cause
-        background = rng.random((n_snapshots, len(self._order))) < self._vector
+        cause_fired = uniforms[:n_snapshots] < self._cause
+        background = (
+            uniforms[n_snapshots:].reshape(n_snapshots, len(self._order))
+            < self._vector
+        )
         return background | cause_fired[:, None]
 
     def marginal(self, link_id: int) -> float:

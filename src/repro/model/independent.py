@@ -47,10 +47,14 @@ class IndependentModel(SetCongestionModel):
             link_id for link_id, hit in zip(self._order, draws) if hit
         )
 
-    def sample_matrix(
-        self, rng: np.random.Generator, n_snapshots: int
+    @property
+    def uniform_width(self) -> int:
+        return len(self._order)
+
+    def states_from(
+        self, uniforms: np.ndarray, n_snapshots: int
     ) -> np.ndarray:
-        return rng.random((n_snapshots, len(self._order))) < self._vector
+        return uniforms.reshape(n_snapshots, len(self._order)) < self._vector
 
     def marginal(self, link_id: int) -> float:
         self._check_member(link_id)

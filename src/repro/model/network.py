@@ -54,6 +54,20 @@ class NetworkCongestionModel:
                 )
         self._correlation = correlation
         self._models = tuple(models)
+        # sample_states' order of draws over each model's sampler: runs
+        # of consecutive samplers with a uniform width, each drawn in
+        # one call, as (samplers, width); any other sampler alone, as
+        # ((sampler,), None).
+        plan: list[tuple[tuple[SetCongestionModel, ...], int | None]] = []
+        for model in self._models:
+            model = model.sampler
+            width = model.uniform_width
+            if width is not None and plan and plan[-1][1] is not None:
+                run, total = plan[-1]
+                plan[-1] = (run + (model,), total + width)
+            else:
+                plan.append(((model,), width))
+        self._draw_plan = plan
 
     # ------------------------------------------------------------------
     # Constructors
@@ -120,11 +134,34 @@ class NetworkCongestionModel:
         self, rng: np.random.Generator, n_snapshots: int
     ) -> np.ndarray:
         """Draw ``n_snapshots`` network states as a boolean matrix
-        (snapshot × link id) — the simulator's bulk entry point."""
+        (snapshot × link id) — the simulator's bulk entry point.
+
+        The sets draw in order, each as its own
+        :meth:`~repro.model.base.SetCongestionModel.sample_matrix` would,
+        through its :attr:`~repro.model.base.SetCongestionModel.sampler`
+        (only links that can congest are written).  Consecutive samplers
+        with a :attr:`~repro.model.base.SetCongestionModel.uniform_width`
+        take their uniforms from one ``rng.random`` call, split in
+        order: consecutive calls draw the same numbers as one call of
+        their total size, so the states and the generator's state after
+        are the same bytes as per-set draws.
+        """
         states = np.zeros((n_snapshots, self.n_links), dtype=bool)
-        for model in self._models:
-            columns = model.member_order
-            states[:, columns] = model.sample_matrix(rng, n_snapshots)
+        for run, width in self._draw_plan:
+            if width is None:
+                (model,) = run
+                states[:, model.member_order] = model.sample_matrix(
+                    rng, n_snapshots
+                )
+                continue
+            uniforms = rng.random(n_snapshots * width)
+            start = 0
+            for model in run:
+                stop = start + n_snapshots * model.uniform_width
+                states[:, model.member_order] = model.states_from(
+                    uniforms[start:stop], n_snapshots
+                )
+                start = stop
         return states
 
     # ------------------------------------------------------------------

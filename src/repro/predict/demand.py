@@ -411,12 +411,18 @@ class ResolvedDemand:
         """The JSON content that identifies one prediction input.
 
         Everything the congestion model's answer depends on: the split
-        sets, the (possibly shifted) rates, and the capacities.  Used by
+        sets, each candidate path's link ids (the same path ids cross
+        different links on another topology), the (possibly shifted)
+        rates, and the capacities.  Used by
         :meth:`repro.predict.model.CongestionModel.predict` to key the
         trial cache.
         """
         return {
             "candidates": [list(split) for split in self.candidates],
+            "links": [
+                [np.flatnonzero(row).tolist() for row in incidence]
+                for incidence in self.incidences
+            ],
             "rates": [float(rate) for rate in rates],
             "capacities": [float(cap) for cap in self.capacities],
         }

@@ -24,8 +24,9 @@ evaluators share that definition:
 
 :class:`CongestionModel` picks the evaluator and memoizes whole
 predictions through the existing :class:`repro.eval.cache.TrialCache`,
-keyed on the demand content fingerprint (rates, splits, capacities,
-model knobs, and — for Monte Carlo — the seed fingerprint).
+keyed on the demand content fingerprint (rates, splits, each candidate
+path's link ids, capacities, model knobs, and — for Monte Carlo — the
+seed fingerprint).
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ __all__ = [
     "CongestionModel",
 ]
 
-#: Cache-key salt; bump when the prediction semantics change.
-PREDICT_SALT = "predict-v1"
+#: Cache-key salt; bump when the prediction semantics or the key change.
+PREDICT_SALT = "predict-v2"
 
 
 def _as_inputs(rates, incidences, limits):
@@ -99,7 +100,9 @@ def _link_exceed(rates: tuple, probs: tuple, headroom: float, memo: dict) -> flo
     < 1) for one link, sorted by descending rate so pruning bites
     early.  ``headroom`` already accounts for deterministic flows.
     """
-    suffix = np.concatenate([np.cumsum(rates[::-1])[::-1], [0.0]])
+    # Python floats, summed in the order np.cumsum sums: the same bytes,
+    # without a NumPy scalar in every comparison below.
+    suffix = list(itertools.accumulate(reversed(rates)))[::-1] + [0.0]
 
     def solve(index: int, headroom: float) -> float:
         if headroom < 0.0:
@@ -128,21 +131,25 @@ def exceedance_exact(rates, incidences, limits) -> np.ndarray:
         if incidences
         else np.zeros((0, limits.size))
     )
-    boundary = _boundary(limits)
+    rate_list = rates.tolist()
     out = np.empty(limits.size, dtype=np.float64)
-    for link in range(limits.size):
-        headroom = float(boundary[link])
+    for link, (headroom, column) in enumerate(
+        zip(_boundary(limits).tolist(), membership.T.tolist())
+    ):
         uncertain = []
-        for flow in range(rates.size):
-            prob = float(membership[flow, link])
-            if prob == 0.0 or rates[flow] == 0.0:
+        for rate, prob in zip(rate_list, column):
+            if prob == 0.0 or rate == 0.0:
                 continue
             if prob == 1.0:
-                headroom -= float(rates[flow])
+                headroom -= rate
             else:
-                uncertain.append((float(rates[flow]), prob))
+                uncertain.append((rate, prob))
         if headroom < 0.0:
             out[link] = 1.0
+            continue
+        if not uncertain:
+            # A fixed load within the headroom.
+            out[link] = 0.0
             continue
         uncertain.sort(key=lambda pair: (-pair[0], pair[1]))
         out[link] = _link_exceed(
@@ -181,7 +188,8 @@ def exceedance_sample(
 
     Draws one uniform candidate index per flow per sample, in flow
     order, from ``rng`` — so a given generator state fixes the
-    estimate bit for bit.
+    estimate bit for bit.  Memory is the ``n_samples x n_links`` load
+    plus one temporary of that size.
     """
     rates, incidences, limits = _as_inputs(rates, incidences, limits)
     if n_samples < 1:
@@ -190,7 +198,9 @@ def exceedance_sample(
     load = np.zeros((n_samples, limits.size), dtype=np.float64)
     for flow, incidence in enumerate(incidences):
         choices = rng.integers(0, incidence.shape[0], size=n_samples)
-        load += rates[flow] * incidence[choices]
+        # Scale the few candidate rows, then gather: the same products
+        # as scaling the gathered rows, without a second temporary.
+        load += (rates[flow] * incidence)[choices]
     return (load > _boundary(limits)).mean(axis=0)
 
 

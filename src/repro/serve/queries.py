@@ -17,6 +17,8 @@ vector plus a flattened ids vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.identifiability import (
@@ -26,7 +28,11 @@ from repro.core.identifiability import (
 from repro.core.localization import localize_map
 from repro.eval.parallel import ScenarioTask, scenario_tasks
 from repro.eval.runner import run_comparison
-from repro.eval.scenario import make_clustered_scenario, resolve_per_set_range
+from repro.eval.scenario import (
+    PER_SET_RANGES,
+    make_clustered_scenario,
+    resolve_per_set_range,
+)
 from repro.simulate.experiment import ExperimentConfig
 from repro.utils.bitset import bit_count
 from repro.utils.rng import clone_generator
@@ -36,6 +42,12 @@ __all__ = [
     "IDENTIFIABILITY_RUNNER",
     "WHATIF_RUNNER",
     "QUERY_KINDS",
+    "MAX_SNAPSHOTS",
+    "MAX_PACKETS_PER_PATH",
+    "MAX_NODES",
+    "MAX_EXACT_FLOWS",
+    "MAX_MC_SAMPLES",
+    "MAX_QUERY_CELLS",
     "normalize_query",
     "validate_query",
     "query_tasks",
@@ -86,6 +98,91 @@ QUERY_KINDS: dict[str, tuple[str, dict]] = {
 }
 
 
+#: Upper bounds on query parameters, far above every CLI and benchmark
+#: default.  ``max_nodes`` bounds the branch-and-bound search of one
+#: localization.  ``exact_max_flows`` bounds the exact forecast's
+#: recursion to at most ``2**18`` partial loads per link: measured worst
+#: case (18 flows of distinct rates, each crossing the link with
+#: probability 1/2, headroom at half their total) ~0.16 s and ~72k memo
+#: entries per link on a 2-core x86 host, growing ~2x per flow.
+MAX_SNAPSHOTS = 100_000
+MAX_PACKETS_PER_PATH = 10**9
+MAX_NODES = 10_000_000
+MAX_EXACT_FLOWS = 18
+MAX_MC_SAMPLES = 1_000_000
+
+#: The largest matrices one query may make on its topology, in cells:
+#: ``n_snapshots x (links + paths)`` for the simulation window (boolean
+#: states and path observations, up to ~8 bytes a cell) and, when the
+#: forecast falls back to Monte Carlo, ``mc_samples x links`` (a float64
+#: load and one temporary of that size, ~17 bytes a cell).  Checked by
+#: :func:`validate_query`, which knows the topology.
+MAX_QUERY_CELLS = 2**24
+
+
+def _check_integer(kwargs: dict, name: str, low: int, high: int) -> None:
+    """``kwargs[name]`` must be an integer (not a bool) in ``[low, high]``."""
+    value = kwargs[name]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or not low <= value <= high
+    ):
+        raise ValueError(
+            f"{name} must be an integer in [{low}, {high}], got {value!r}"
+        )
+
+
+def _check_number(
+    kwargs: dict, name: str, low: float, high: float = math.inf, *,
+    open_low: bool = False,
+) -> None:
+    """``kwargs[name]`` must be a finite number (not a bool) in range."""
+    value = kwargs[name]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, np.integer, np.floating))
+        or not math.isfinite(value)
+        or not (value > low if open_low else value >= low)
+        or value > high
+    ):
+        lower = f"> {low}" if open_low else f">= {low}"
+        bound = lower if high == math.inf else f"{lower} and <= {high}"
+        raise ValueError(
+            f"{name} must be a finite number {bound}, got {value!r}"
+        )
+
+
+def _check_window(kwargs: dict) -> None:
+    """The simulation-window parameters shared by both simulating kinds."""
+    _check_number(kwargs, "congested_fraction", 0.0, 1.0)
+    _check_integer(kwargs, "n_snapshots", 1, MAX_SNAPSHOTS)
+    if kwargs["packets_per_path"] is not None:
+        _check_integer(kwargs, "packets_per_path", 1, MAX_PACKETS_PER_PATH)
+    spec = kwargs["per_set_range"]
+    if isinstance(spec, str):
+        if spec not in PER_SET_RANGES:
+            raise ValueError(
+                f"unknown per_set_range preset {spec!r}; expected one of "
+                f"{sorted(PER_SET_RANGES)} or a [lo, hi] pair"
+            )
+    elif not (
+        isinstance(spec, (list, tuple))
+        and len(spec) == 2
+        and all(
+            isinstance(bound, (int, np.integer))
+            and not isinstance(bound, bool)
+            for bound in spec
+        )
+        and 1 <= spec[0] <= spec[1]
+    ):
+        raise ValueError(
+            f"per_set_range must be 'high', 'loose', or a pair of "
+            f"integers 1 <= lo <= hi; got {spec!r}"
+        )
+    kwargs["per_set_range"] = resolve_per_set_range(spec)
+
+
 def _normalize_whatif(kwargs: dict) -> dict:
     """Canonicalise and validate the what-if parameters.
 
@@ -111,20 +208,9 @@ def _normalize_whatif(kwargs: dict) -> dict:
         kwargs["shifts"] = [
             DemandShift.from_payload(shift).to_payload() for shift in shifts
         ]
-    threshold = kwargs["utilization_threshold"]
-    if not isinstance(threshold, (int, float)) or not threshold > 0:
-        raise ValueError(
-            f"utilization_threshold must be > 0, got {threshold!r}"
-        )
-    if not isinstance(kwargs["exact_max_flows"], int) or kwargs["exact_max_flows"] < 0:
-        raise ValueError(
-            f"exact_max_flows must be an integer >= 0, got "
-            f"{kwargs['exact_max_flows']!r}"
-        )
-    if not isinstance(kwargs["mc_samples"], int) or kwargs["mc_samples"] < 1:
-        raise ValueError(
-            f"mc_samples must be an integer >= 1, got {kwargs['mc_samples']!r}"
-        )
+    _check_number(kwargs, "utilization_threshold", 0.0, open_low=True)
+    _check_integer(kwargs, "exact_max_flows", 0, MAX_EXACT_FLOWS)
+    _check_integer(kwargs, "mc_samples", 1, MAX_MC_SAMPLES)
     return kwargs
 
 
@@ -133,9 +219,14 @@ def normalize_query(query: dict) -> tuple[str, dict, int]:
 
     Unknown kinds and unknown parameters fail loudly (they would
     otherwise silently change the cache key without changing the
-    computation, or vice versa).  ``per_set_range`` is resolved to its
-    canonical tuple here so the service, the CLI, and round-trips
-    through JSON codecs all produce the same task kwargs.
+    computation, or vice versa).  So does every numeric parameter of
+    the simulating kinds that has the wrong type (a bool is not an
+    integer), is not finite, or is out of range — the ``MAX_*`` bounds
+    above — and a seed that is not an integer >= 0: a bad value fails
+    here, not mid-batch with its co-batched queries.  ``per_set_range``
+    is resolved to its canonical tuple here so the service, the CLI,
+    and round-trips through JSON codecs all produce the same task
+    kwargs.
     """
     if not isinstance(query, dict):
         raise ValueError(f"query must be an object, got {type(query).__name__}")
@@ -147,8 +238,8 @@ def normalize_query(query: dict) -> tuple[str, dict, int]:
             f"{sorted(QUERY_KINDS)}"
         )
     seed = query.pop("seed", 0)
-    if not isinstance(seed, int):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     runner, defaults = QUERY_KINDS[kind]
     unknown = sorted(set(query) - set(defaults))
     if unknown:
@@ -158,10 +249,11 @@ def normalize_query(query: dict) -> tuple[str, dict, int]:
         )
     kwargs = {**defaults, **query}
     if "per_set_range" in kwargs:
-        kwargs["per_set_range"] = resolve_per_set_range(
-            kwargs["per_set_range"]
-        )
-    if kind == "whatif":
+        _check_window(kwargs)
+    if kind == "localization":
+        _check_integer(kwargs, "loc_snapshots", 0, MAX_SNAPSHOTS)
+        _check_integer(kwargs, "max_nodes", 1, MAX_NODES)
+    elif kind == "whatif":
         kwargs = _normalize_whatif(kwargs)
     return runner, kwargs, seed
 
@@ -174,14 +266,34 @@ def validate_query(instance, query: dict) -> None:
     to the instance, so unresolvable flows (unknown paths, endpoint
     pairs with no routed path) are rejected as bad requests instead of
     failing — and taking co-batched queries with them — inside the
-    engine.  Raises :class:`ValueError`.
+    engine.  It also bounds the query's matrices on this topology by
+    :data:`MAX_QUERY_CELLS`.  Raises :class:`ValueError`.
     """
     runner, kwargs, _ = normalize_query(query)
+    topology = instance.topology
+    if "n_snapshots" in kwargs:
+        _check_cells(
+            "n_snapshots x (links + paths)",
+            kwargs["n_snapshots"] * (topology.n_links + topology.n_paths),
+        )
     if runner == WHATIF_RUNNER:
         from repro.predict.demand import DemandMatrix
 
-        DemandMatrix.from_payload(kwargs["demand"]).resolve(
-            instance.topology
+        resolved = DemandMatrix.from_payload(kwargs["demand"]).resolve(
+            topology
+        )
+        if resolved.n_flows > kwargs["exact_max_flows"]:
+            _check_cells(
+                "mc_samples x links (Monte Carlo forecast)",
+                kwargs["mc_samples"] * topology.n_links,
+            )
+
+
+def _check_cells(what: str, cells: int) -> None:
+    if cells > MAX_QUERY_CELLS:
+        raise ValueError(
+            f"{what} is {cells} cells on this topology; the limit is "
+            f"{MAX_QUERY_CELLS}"
         )
 
 

@@ -17,7 +17,9 @@ POST       ``/topologies/<fp>/identifiability``  Sugar: ``kind=identifiability``
 POST       ``/topologies/<fp>/stream``        Window uploads → chunked deltas
 =========  =================================  ===================================
 
-Status mapping: bad payloads → 400, unknown topology/path → 404, store
+Status mapping: bad payloads (including ``NaN``/``Infinity`` literals and
+query parameters outside :func:`repro.serve.queries.validate_query`'s
+bounds) → 400, unknown topology/path → 404, store
 at capacity → 409, a request line or header line longer than
 :data:`MAX_LINE_BYTES` → 414 or 431, more than :data:`MAX_HEADERS`
 header lines → 431, header lines still incomplete
@@ -79,6 +81,12 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _refuse_constant(name: str):
+    """``NaN`` and ``Infinity`` are not JSON; Python's parser takes them
+    unless told otherwise."""
+    raise ValueError(f"non-finite constant {name} is not JSON")
 
 
 async def _read_line(reader, status: int, what: str) -> bytes:
@@ -399,8 +407,8 @@ class TomographyService:
         if not body:
             return {}
         try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(body, parse_constant=_refuse_constant)
+        except ValueError as exc:  # JSONDecodeError is one
             raise _HttpError(400, f"invalid JSON body: {exc}") from None
         if not isinstance(payload, dict):
             raise _HttpError(400, "JSON body must be an object")

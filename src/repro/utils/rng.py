@@ -146,15 +146,36 @@ def clone_generator(seed):
     original in *both* draw behaviour and spawn behaviour:
     reconstructing a generator from ``bit_generator.state`` alone would
     draw identically but attach a fresh ``SeedSequence``, so a later
-    :func:`spawn_children` on the clone would diverge.  ``deepcopy``
-    carries the seed sequence (entropy, spawn key, children counter)
-    along with the state, which is exactly the contract the scenario
-    engine relies on when it re-executes a task list.
+    :func:`spawn_children` on the clone would diverge.  A PCG64
+    generator on an integer-entropy seed sequence (what ``default_rng``
+    and :func:`spawn_children` make) is rebuilt from its entropy, spawn
+    key, pool size, children counter and bit-generator state, exactly
+    as :func:`generator_from_parts` rebuilds a shipped one; any other
+    generator is deep-copied, which carries the same contract.
 
     Other seed-likes (``None``, ints, ``SeedSequence``) deep-copy too,
     so callers can hand any accepted seed form to a consumer that will
     mutate it without disturbing the original.
     """
+    if type(seed) is np.random.Generator:
+        bit_generator = seed.bit_generator
+        seed_seq = getattr(bit_generator, "seed_seq", None)
+        if (
+            type(bit_generator) is np.random.PCG64
+            and type(seed_seq) is np.random.SeedSequence
+            and type(seed_seq.entropy) is int
+        ):
+            state = bit_generator.state
+            return generator_from_parts(
+                state["state"]["state"],
+                state["state"]["inc"],
+                state["has_uint32"],
+                state["uinteger"],
+                seed_seq.entropy,
+                seed_seq.spawn_key,
+                seed_seq.pool_size,
+                seed_seq.n_children_spawned,
+            )
     return copy.deepcopy(seed)
 
 

@@ -159,6 +159,128 @@ class TestHighsFailures:
             program.solve(values)
         finite = np.array([-0.2, -0.9, -0.4])
         assert program.solve(finite, warm=warm).tobytes() == (
-            program.solve(finite).tobytes()
+            program.solve(finite, warm=WarmStart()).tobytes()
         )
         assert warm.program is program and warm.fallbacks == 0
+
+
+def _random_system(seed: int, n_rows: int = 36, n_cols: int = 30):
+    """A sparse 0/1 routing-like ``R`` and noisy right-hand sides."""
+    rng = np.random.default_rng(seed)
+    matrix = (rng.random((n_rows, n_cols)) < 0.15).astype(np.float64)
+    truth = -rng.exponential(0.1, size=(12, n_cols))
+    noise = rng.normal(0.0, 0.01, size=(12, n_rows))
+    return matrix, list(truth @ matrix.T + noise)
+
+
+def _cold(program, values) -> bytes:
+    return program.solve(values, warm=WarmStart()).tobytes()
+
+
+class TestPerThreadWarmState:
+    def test_two_threads_interleaving_two_programs_equal_cold(self):
+        """Without ``warm=``, each thread re-solves its own live model of
+        each program; the answers are the cold bytes throughout."""
+        import sys
+        import threading
+
+        systems = [_random_system(seed) for seed in (1, 2)]
+        programs = [L1Program(matrix) for matrix, _ in systems]
+        expected = [
+            [_cold(program, values) for values in rhs]
+            for program, (_, rhs) in zip(programs, systems)
+        ]
+        barrier = threading.Barrier(2)
+        answers, models, errors = {}, {}, []
+
+        def run(slot: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                got = []
+                for _ in range(2):
+                    for index in range(len(systems[0][1])):
+                        for which in (slot, 1 - slot):
+                            values = systems[which][1][index]
+                            got.append(
+                                (which, index,
+                                 programs[which].solve(values).tobytes())
+                            )
+                answers[slot] = got
+                models[slot] = [
+                    program._thread_warm().highs for program in programs
+                ]
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and len(answers) == 2
+        for got in answers.values():
+            for which, index, answer in got:
+                assert answer == expected[which][index], (which, index)
+        # One live model per thread per program, none shared.
+        live = [model for pair in models.values() for model in pair]
+        assert all(model is not None for model in live)
+        assert len({id(model) for model in live}) == 4
+        for program in programs:
+            assert program._thread_warm().fallbacks == 0
+
+    def test_a_solved_program_is_freed_without_the_cycle_collector(self):
+        """The thread's warm state does not refer back to its program,
+        so a one-shot program and its live model go with the last
+        reference."""
+        import gc
+        import weakref
+
+        matrix, rhs = _random_system(4)
+        program = L1Program(matrix)
+        program.solve(rhs[0])
+        freed = weakref.ref(program)
+        gc.disable()
+        try:
+            del program
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_forked_worker_starts_cold(self):
+        """A pool worker forked from a thread that holds a live model
+        builds its own instead of re-running the inherited copy."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        global _FORK_PROGRAM, _FORK_VALUES
+        matrix, rhs = _random_system(3)
+        _FORK_PROGRAM, _FORK_VALUES = L1Program(matrix), rhs
+        parent_answer = _FORK_PROGRAM.solve(rhs[0]).tobytes()
+        assert _FORK_PROGRAM._thread_warm().highs is not None
+        with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            inherited, started, answers = pool.submit(_solve_in_child).result(
+                timeout=120
+            )
+        assert inherited, "the child did not inherit the parent's state"
+        assert started is None, "the child re-used the parent's live model"
+        assert answers == [_cold(_FORK_PROGRAM, values) for values in rhs[:4]]
+        assert answers[0] == parent_answer
+
+
+_FORK_PROGRAM = _FORK_VALUES = None
+
+
+def _solve_in_child():
+    program = _FORK_PROGRAM
+    local = program._local
+    inherited = getattr(local, "warm", None) is not None
+    started = program._thread_warm().highs
+    answers = [program.solve(values).tobytes() for values in _FORK_VALUES[:4]]
+    return inherited, started, answers

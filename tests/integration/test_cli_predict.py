@@ -186,12 +186,48 @@ class TestFailures:
         with pytest.raises(SystemExit, match="--demand"):
             main(predict_argv(str(path)))
 
-    def test_unresolvable_demand(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("predict", ["--n-snapshots", "0"]),
+            ("predict", ["--n-snapshots", "1000000000"]),
+            ("predict", ["--congested-fraction", "nan"]),
+            ("predict", ["--seed", "-3"]),
+            ("localize", ["--max-nodes", "-1"]),
+            ("localize", ["--congested-fraction", "inf"]),
+            ("localize", ["--loc-snapshots", "-1"]),
+        ],
+    )
+    def test_out_of_range_query_exits_2(
+        self, capsys, demand_file, command, flags
+    ):
+        argv = (
+            predict_argv(demand_file, *flags)
+            if command == "predict"
+            else [
+                "localize",
+                "--generator",
+                json.dumps(GENERATOR),
+                "--no-cache",
+                *WINDOW,
+                *flags,
+            ]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert len(error) == 1 and error[0].startswith("error: "), error
+
+    def test_unresolvable_demand(self, tmp_path, capsys):
         path = tmp_path / "demand.json"
         payload = {"flows": [{"name": "f", "rate": 1.0, "paths": [9_999]}]}
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(SystemExit, match="flow 'f'"):
+        with pytest.raises(SystemExit) as excinfo:
             main(predict_argv(str(path)))
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert len(error) == 1 and error[0].startswith("error: flow 'f'")
 
     @pytest.mark.parametrize(
         "spec", ["no-colon", "surge:abc", "surge:-1", ":2.0"]

@@ -107,3 +107,110 @@ class TestSampling:
         states = model_1a.sample_states(as_generator(23), 40_000)
         joint = (states[:, e1] & states[:, e3]).mean()
         assert abs(joint - 0.25 * 0.3) < 0.01
+
+
+def per_set_draws(set_model, rng, n_snapshots):
+    """One set's states drawn the way each model drew them on its own,
+    written out independently of ``uniform_width``/``states_from``."""
+    from repro.model import CommonCauseModel
+    from repro.model.cluster import ActiveSubsetModel
+
+    order = set_model.member_order
+    if isinstance(set_model, ActiveSubsetModel):
+        inner = per_set_draws(set_model.inner, rng, n_snapshots)
+        out = np.zeros((n_snapshots, len(order)), dtype=bool)
+        for column, link_id in enumerate(set_model.inner.member_order):
+            out[:, order.index(link_id)] = inner[:, column]
+        return out
+    if isinstance(set_model, CommonCauseModel):
+        fired = rng.random(n_snapshots) < set_model.cause_probability
+        background = np.array([set_model.background_of(k) for k in order])
+        return (rng.random((n_snapshots, len(order))) < background) | (
+            fired[:, None]
+        )
+    if isinstance(set_model, IndependentModel):
+        marginals = np.array([set_model.marginal(k) for k in order])
+        return rng.random((n_snapshots, len(order))) < marginals
+    return set_model.sample_matrix(rng, n_snapshots)
+
+
+class TestBatchedDraws:
+    """``sample_states`` draws the uniforms of consecutive models with a
+    uniform width in one call; states and generator state must be the
+    bytes of per-set draws."""
+
+    @staticmethod
+    def mixed_model():
+        from repro.eval.figures import default_instance
+        from repro.model import CommonCauseModel
+        from repro.model.cluster import ActiveSubsetModel, make_cluster_model
+        from repro.model.shared_resource import SharedResourceModel
+
+        correlation = default_instance("brite", scale="small").correlation
+        models = []
+        for index, group in enumerate(correlation.sets):
+            links = sorted(group)
+            kind = index % 6
+            if kind == 0:
+                models.append(
+                    IndependentModel({k: 0.05 + 0.01 * (k % 7) for k in links})
+                )
+            elif kind == 1:
+                models.append(
+                    CommonCauseModel(group, cause_probability=0.1,
+                                     background=0.02)
+                )
+            elif kind == 2:
+                models.append(
+                    make_cluster_model(group, frozenset(links[:3]),
+                                       cause_probability=0.2,
+                                       background=0.05)
+                )
+            elif kind == 3:
+                models.append(make_cluster_model(
+                    group, frozenset(), cause_probability=0.2,
+                    background=0.05,
+                ))
+            elif kind == 4:
+                # No uniform width: draws itself at its place.
+                models.append(
+                    SharedResourceModel(
+                        {k: {("r", k % 3)} for k in links},
+                        {("r", r): 0.1 for r in range(3)},
+                    )
+                )
+            else:
+                models.append(ActiveSubsetModel(
+                    group, IndependentModel({links[-1]: 0.3}),
+                ))
+        return NetworkCongestionModel(correlation, models)
+
+    @pytest.mark.parametrize("n_snapshots", [0, 1, 37, 512])
+    def test_states_and_rng_state_equal_per_set_draws(self, n_snapshots):
+        model = self.mixed_model()
+        kinds = {m.uniform_width is None for m in model.models}
+        assert kinds == {True, False}
+        rng = np.random.default_rng(2024)
+        reference_rng = np.random.default_rng(2024)
+        states = model.sample_states(rng, n_snapshots)
+        reference = np.zeros((n_snapshots, model.n_links), dtype=bool)
+        for set_model in model.models:
+            reference[:, set_model.member_order] = per_set_draws(
+                set_model, reference_rng, n_snapshots
+            )
+        assert states.tobytes() == reference.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        if n_snapshots == 512:
+            assert 0 < states.sum() < states.size
+
+    @pytest.mark.parametrize("n_snapshots", [1, 37])
+    def test_sample_matrix_equals_per_set_draws(self, n_snapshots):
+        for set_model in self.mixed_model().models:
+            rng = np.random.default_rng(7)
+            reference_rng = np.random.default_rng(7)
+            got = set_model.sample_matrix(rng, n_snapshots)
+            expected = per_set_draws(set_model, reference_rng, n_snapshots)
+            assert got.tobytes() == expected.tobytes(), set_model
+            assert rng.bit_generator.state == (
+                reference_rng.bit_generator.state
+            )

@@ -29,7 +29,62 @@ def random_flow_set(rng, *, n_links=5, max_flows=6, max_candidates=3):
     return rates, incidences, limits
 
 
+def reference_exact(rates, incidences, limits) -> np.ndarray:
+    """The exact recursion written plainly over NumPy scalars, as a
+    byte-for-byte reference for ``exceedance_exact``."""
+    rates = np.asarray(rates, dtype=np.float64)
+    limits = np.asarray(limits, dtype=np.float64)
+    membership = np.stack(
+        [np.asarray(inc, dtype=np.float64).mean(axis=0) for inc in incidences]
+    )
+    boundary = limits + 1e-9 * (1.0 + np.abs(limits))
+    out = np.empty(limits.size)
+    for link in range(limits.size):
+        headroom = float(boundary[link])
+        uncertain = []
+        for flow in range(rates.size):
+            prob = float(membership[flow, link])
+            if prob == 0.0 or rates[flow] == 0.0:
+                continue
+            if prob == 1.0:
+                headroom -= float(rates[flow])
+            else:
+                uncertain.append((float(rates[flow]), prob))
+        uncertain.sort(key=lambda pair: (-pair[0], pair[1]))
+        link_rates = [rate for rate, _ in uncertain]
+        suffix = np.concatenate([np.cumsum(link_rates[::-1])[::-1], [0.0]])
+        memo = {}
+
+        def solve(index, headroom):
+            if headroom < 0.0:
+                return 1.0
+            if suffix[index] <= headroom:
+                return 0.0
+            key = (index, round(headroom, 12))
+            if key not in memo:
+                rate, prob = uncertain[index]
+                memo[key] = prob * solve(index + 1, headroom - rate) + (
+                    1.0 - prob
+                ) * solve(index + 1, headroom)
+            return memo[key]
+
+        out[link] = solve(0, headroom)
+    return out
+
+
 class TestExactVsNaive:
+    def test_exact_bytes_equal_the_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            rates, incidences, limits = random_flow_set(
+                rng, n_links=8, max_flows=12, max_candidates=4
+            )
+            # Repeated rates make partial loads collide in the memo.
+            rates = np.round(rates, 1)
+            assert exceedance_exact(rates, incidences, limits).tobytes() == (
+                reference_exact(rates, incidences, limits).tobytes()
+            )
+
     def test_exact_equals_naive_on_random_flow_sets(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -96,6 +151,23 @@ class TestMonteCarlo:
             rng=np.random.default_rng(0), n_samples=40_000,
         )
         assert np.abs(exact - sampled).max() < 0.02
+
+    def test_sampler_bytes_equal_scaling_the_gathered_rows(self):
+        rng = np.random.default_rng(13)
+        rates, incidences, limits = random_flow_set(rng, max_flows=7)
+        assert sum(len(incidence) > 1 for incidence in incidences) >= 3
+        got = exceedance_sample(
+            rates, incidences, limits,
+            rng=np.random.default_rng(4), n_samples=300,
+        )
+        draws = np.random.default_rng(4)
+        load = np.zeros((300, len(limits)))
+        for rate, incidence in zip(rates, incidences):
+            choices = draws.integers(0, len(incidence), size=300)
+            load += rate * np.asarray(incidence, dtype=np.float64)[choices]
+        limits = np.asarray(limits, dtype=np.float64)
+        boundary = limits + 1e-9 * (1.0 + np.abs(limits))
+        assert got.tobytes() == (load > boundary).mean(axis=0).tobytes()
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
@@ -197,3 +269,49 @@ class TestCongestionModel:
         one = model.predict(resolved, seed=1)
         two = model.predict(resolved, seed=2)
         assert np.array_equal(one.probability, two.probability)
+
+
+def serve_mixed_demand(seed: int = 11) -> dict:
+    """The service benchmark's what-if demand shape: 16 flows with
+    two-path ECMP splits over a 6-path pool, capacity 4.5 everywhere."""
+    rng = np.random.default_rng(seed)
+    flows = []
+    for index in range(16):
+        split = sorted(int(p) for p in rng.choice(6, size=2, replace=False))
+        rate = float(rng.choice([0.6, 1.0, 1.4]))
+        flows.append({"name": f"f{index}", "rate": rate, "paths": split})
+    return {"flows": flows, "capacities": {"default": 4.5}}
+
+
+class TestForecastKey:
+    def test_key_covers_the_topology(self, tmp_path):
+        """One demand on two topologies with the same path ids: the
+        forecasts differ, so a trial cache shared across topologies must
+        key them apart."""
+        from repro.serve.registry import instance_from_payload
+
+        generator = {"kind": "brite", "n_ases": 40, "routers_per_as": 5,
+                     "n_paths": 120}
+        demand = DemandMatrix.from_payload(serve_mixed_demand())
+        resolved = [
+            demand.resolve(
+                instance_from_payload(
+                    {"generator": dict(generator, seed=seed)}
+                ).topology
+            )
+            for seed in (7, 13)
+        ]
+        model = CongestionModel()
+        limits = [model.utilization_threshold * r.capacities for r in resolved]
+        fresh = [
+            exceedance_exact(r.rates, r.incidences, limit)
+            for r, limit in zip(resolved, limits)
+        ]
+        assert fresh[0].tobytes() != fresh[1].tobytes()
+        keys = [model._key(r, r.rates, "exact", 0) for r in resolved]
+        assert keys[0] != keys[1]
+        cache = TrialCache(tmp_path)
+        for r, expected in zip(resolved, fresh):
+            assert model.predict(r, cache=cache).probability.tobytes() == (
+                expected.tobytes()
+            )

@@ -25,6 +25,12 @@ finite = st.floats(
 )
 
 
+def cold(program, values) -> bytes:
+    """A cold solve's answer bytes: a fresh warm state holds no model,
+    so the solve starts from the slack basis of a new instance."""
+    return program.solve(values, warm=WarmStart()).tobytes()
+
+
 @st.composite
 def systems(draw):
     n_rows = draw(st.integers(min_value=1, max_value=6))
@@ -375,7 +381,7 @@ def test_shared_program_solves_identically_across_threads(
     from its own :class:`WarmStart`, with a short switch interval: every
     answer is the serial cold answer, byte for byte."""
     program, right_hand_sides = brite_template_system
-    serial = [program.solve(values).tobytes() for values in right_hand_sides]
+    serial = [cold(program, values) for values in right_hand_sides]
     n_threads = 4
     barrier = threading.Barrier(n_threads)
     answers, errors = {}, []
@@ -426,7 +432,7 @@ def test_warm_solves_equal_cold_solves_on_sparse_systems(system, random):
     warm = WarmStart()
     for values in order:
         assert program.solve(values, warm=warm).tobytes() == (
-            program.solve(values).tobytes()
+            cold(program, values)
         )
     assert warm.fallbacks == 0
 
@@ -443,7 +449,7 @@ def test_warm_solves_in_any_order_equal_cold_solves(
     model the first one built."""
     program, right_hand_sides = brite_template_system
     windows = right_hand_sides + stream_window_values
-    cold = [program.solve(values).tobytes() for values in windows]
+    answers = [cold(program, values) for values in windows]
     order = data.draw(
         st.lists(
             st.sampled_from(range(len(windows))),
@@ -455,7 +461,7 @@ def test_warm_solves_in_any_order_equal_cold_solves(
     live = None
     for index in order:
         assert program.solve(windows[index], warm=warm).tobytes() == (
-            cold[index]
+            answers[index]
         )
         assert warm.program is program and warm.highs is not None
         live = live or warm.highs
@@ -498,7 +504,7 @@ def test_warm_stream_equals_cold_on_a_near_degenerate_window(
         observations.append_window(windows[index])
         values = template.values(observations)
         assert program.solve(values, warm=warm).tobytes() == (
-            program.solve(values).tobytes()
+            cold(program, values)
         ), f"window {index}"
     assert warm.fallbacks == 0
 

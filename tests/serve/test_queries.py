@@ -8,11 +8,15 @@ import pytest
 from repro.eval.scenario import HIGH_CORRELATION_RANGE, LOOSE_CORRELATION_RANGE
 from repro.eval.cache import trial_key
 from repro.serve.queries import (
+    MAX_EXACT_FLOWS,
+    MAX_MC_SAMPLES,
+    MAX_QUERY_CELLS,
     decode_vectors,
     encode_vectors,
     normalize_query,
     query_tasks,
     run_query,
+    validate_query,
 )
 
 
@@ -64,10 +68,123 @@ class TestNormalizeQuery:
         with pytest.raises(ValueError, match=match):
             normalize_query(query)
 
+    @pytest.mark.parametrize(
+        "query, match",
+        [
+            ({"n_snapshots": "abc"}, "n_snapshots must be an integer"),
+            ({"n_snapshots": 10**9}, "n_snapshots must be an integer"),
+            ({"n_snapshots": True}, "n_snapshots must be an integer"),
+            ({"congested_fraction": float("nan")}, "congested_fraction"),
+            ({"congested_fraction": -0.1}, "congested_fraction"),
+            ({"max_nodes": -1}, "max_nodes"),
+            ({"loc_snapshots": True}, "loc_snapshots"),
+            ({"packets_per_path": 0}, "packets_per_path"),
+            ({"per_set_range": [0, 2]}, "per_set_range"),
+            ({"per_set_range": "tight"}, "per_set_range"),
+            ({"seed": -3}, "seed must be an integer >= 0"),
+            ({"seed": False}, "seed must be an integer >= 0"),
+            (
+                {"kind": "whatif", "demand": {"flows": [
+                    {"name": "f", "rate": 1.0, "paths": [0]}]},
+                 "utilization_threshold": float("inf")},
+                "utilization_threshold",
+            ),
+            (
+                {"kind": "whatif", "demand": {"flows": [
+                    {"name": "f", "rate": 1.0, "paths": [0]}]},
+                 "mc_samples": 10**9},
+                "mc_samples",
+            ),
+            (
+                {"kind": "whatif", "demand": {"flows": [
+                    {"name": "f", "rate": 1.0, "paths": [0]}]},
+                 "n_snapshots": 0},
+                "n_snapshots",
+            ),
+        ],
+    )
+    def test_parameter_limits(self, query, match):
+        with pytest.raises(ValueError, match=match):
+            normalize_query(query)
+
+    def test_limits_admit_the_largest_benchmark_values(self):
+        normalize_query(
+            {"n_snapshots": 20_000, "packets_per_path": 1000,
+             "loc_snapshots": 8, "max_nodes": 200_000}
+        )
+        normalize_query(
+            {"kind": "whatif", "demand": {"flows": [
+                {"name": "f", "rate": 1.0, "paths": [0]}]},
+             "mc_samples": 150_000, "exact_max_flows": 16,
+             "packets_per_path": None}
+        )
+
+    def test_exact_max_flows_bound(self):
+        demand = {"flows": [{"name": "f", "rate": 1.0, "paths": [0]}]}
+        normalize_query(
+            {"kind": "whatif", "demand": demand,
+             "exact_max_flows": MAX_EXACT_FLOWS}
+        )
+        with pytest.raises(ValueError, match="exact_max_flows"):
+            normalize_query(
+                {"kind": "whatif", "demand": demand,
+                 "exact_max_flows": MAX_EXACT_FLOWS + 1}
+            )
+
     def test_does_not_mutate_input(self):
         query = {"kind": "localization", "seed": 3}
         normalize_query(query)
         assert query == {"kind": "localization", "seed": 3}
+
+
+class TestValidateQueryCells:
+    """``validate_query`` bounds a query's matrices on its topology."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        from repro.serve.registry import instance_from_payload
+
+        # The service benchmark's topology: 120 links, 120 paths.
+        return instance_from_payload({"generator": {
+            "kind": "brite", "n_ases": 40, "routers_per_as": 5,
+            "n_paths": 120, "seed": 7,
+        }})
+
+    @staticmethod
+    def demand(n_flows: int) -> dict:
+        return {"flows": [
+            {"name": f"f{i}", "rate": 1.0, "paths": [i % 6, (i + 1) % 6]}
+            for i in range(n_flows)
+        ]}
+
+    def test_defaults_fit(self, instance):
+        validate_query(instance, {"kind": "localization"})
+        # 17 flows > exact_max_flows: the default 20000-sample Monte
+        # Carlo forecast.
+        validate_query(
+            instance, {"kind": "whatif", "demand": self.demand(17)}
+        )
+
+    def test_window_over_the_limit_is_refused(self, instance):
+        topology = instance.topology
+        width = topology.n_links + topology.n_paths
+        fits = MAX_QUERY_CELLS // width
+        validate_query(instance, {"n_snapshots": fits})
+        with pytest.raises(ValueError, match="cells"):
+            validate_query(instance, {"n_snapshots": fits + 1})
+
+    def test_monte_carlo_over_the_limit_is_refused(self, instance):
+        query = {
+            "kind": "whatif",
+            "demand": self.demand(3),
+            "exact_max_flows": 0,
+            "mc_samples": MAX_MC_SAMPLES,
+        }
+        assert MAX_MC_SAMPLES * instance.topology.n_links > MAX_QUERY_CELLS
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            validate_query(instance, query)
+        # The exact path never allocates the samples.
+        validate_query(instance, dict(query, exact_max_flows=3))
 
 
 class TestQueryTasks:

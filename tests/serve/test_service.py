@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.serve.client import ServiceClient, ServiceError
-from repro.serve.queries import decode_vectors, run_query
+from repro.serve.queries import MAX_MC_SAMPLES, decode_vectors, run_query
 from repro.serve import server
 from repro.serve.registry import instance_from_payload
 from repro.serve.server import MAX_HEADERS, MAX_LINE_BYTES
@@ -323,6 +323,119 @@ class TestQueries:
             {"kind": "localization"},
         )
         assert "holds" in response["result"]
+
+
+BAD_QUERY_BODIES = [
+    b'{"kind": "localization", "n_snapshots": "abc"}',
+    b'{"kind": "localization", "n_snapshots": 1000000000}',
+    b'{"kind": "localization", "n_snapshots": 0}',
+    b'{"kind": "localization", "n_snapshots": 30.0}',
+    b'{"kind": "localization", "congested_fraction": NaN}',
+    b'{"kind": "localization", "congested_fraction": 1.5}',
+    b'{"kind": "localization", "congested_fraction": Infinity}',
+    b'{"kind": "localization", "max_nodes": -1}',
+    b'{"kind": "localization", "loc_snapshots": true}',
+    b'{"kind": "localization", "packets_per_path": -Infinity}',
+    b'{"kind": "localization", "per_set_range": [3, 2]}',
+    b'{"kind": "localization", "per_set_range": "tight"}',
+    b'{"kind": "localization", "seed": -3}',
+    b'{"kind": "localization", "seed": true}',
+    b'{"kind": "whatif", "demand": {"flows": [{"name": "f", "rate": 1.0,'
+    b' "paths": [0]}]}, "mc_samples": 1e12}',
+    b'{"kind": "whatif", "demand": {"flows": [{"name": "f", "rate": 1.0,'
+    b' "paths": [0]}]}, "utilization_threshold": NaN}',
+    b'{"kind": "whatif", "demand": {"flows": [{"name": "f", "rate": 1.0,'
+    b' "paths": [0]}]}, "exact_max_flows": 1000}',
+]
+
+
+class TestQueryLimits:
+    @pytest.mark.parametrize("body", BAD_QUERY_BODIES)
+    def test_bad_parameter_is_one_400(self, harness, fingerprint, body):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", harness.service.port, timeout=30
+        )
+        try:
+            connection.request(
+                "POST",
+                f"/topologies/{fingerprint}/query",
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            answer = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400, answer
+        assert "error" in answer
+
+    @pytest.mark.parametrize("constant", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_json_constant_is_400(self, harness, constant):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", harness.service.port, timeout=30
+        )
+        try:
+            connection.request(
+                "POST",
+                "/topologies",
+                body=b'{"generator": {"kind": "brite", "n_ases": '
+                + constant
+                + b"}}",
+            )
+            response = connection.getresponse()
+            answer = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "invalid JSON" in answer["error"]
+
+    def test_forced_monte_carlo_over_the_cell_limit_is_400(
+        self, client, fingerprint
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            client.query(fingerprint, {
+                "kind": "whatif",
+                "demand": {"flows": [
+                    {"name": "f", "rate": 1.0, "paths": [0, 1]}]},
+                "exact_max_flows": 0,
+                "mc_samples": MAX_MC_SAMPLES,
+            })
+        assert excinfo.value.status == 400
+        assert "cells" in str(excinfo.value)
+
+    def test_co_batched_good_query_is_answered(self, harness, fingerprint):
+        reference = run_query(
+            instance_from_payload({"generator": GENERATOR}), QUERY
+        )
+        statuses: list[int] = []
+        served: dict = {}
+
+        def bad(body: bytes) -> None:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", harness.service.port, timeout=60
+            )
+            connection.request(
+                "POST", f"/topologies/{fingerprint}/query", body=body
+            )
+            statuses.append(connection.getresponse().status)
+            connection.close()
+
+        def good() -> None:
+            with harness.client() as own:
+                served.update(own.query(fingerprint, QUERY))
+
+        threads = [threading.Thread(target=good)] + [
+            threading.Thread(target=bad, args=(body,))
+            for body in BAD_QUERY_BODIES[:6]
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert statuses == [400] * 6
+        assert set(served) == set(reference)
+        for name, vector in reference.items():
+            assert served[name].tobytes() == vector.tobytes(), name
 
 
 class TestStoreLifecycle:
