@@ -1864,22 +1864,21 @@ def _instance_from_flags(args):
     )
 
 
-def _validated(instance, query: dict) -> dict:
-    """``query`` once :func:`repro.serve.queries.validate_query` passes
-    it; the service answers the same refusals with a 400."""
+def _validated(instance, query: dict) -> list:
+    """``query``'s tasks once :func:`repro.serve.queries.validate_query`
+    passes it; the service answers the same refusals with a 400."""
     from repro.serve.queries import validate_query
 
     try:
-        validate_query(instance, dict(query))
+        return validate_query(instance, query)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    return query
 
 
 def _run_localize(args) -> int:
     from repro.io import canonical_json
-    from repro.serve.queries import encode_vectors, run_query
+    from repro.serve.queries import encode_vectors, run_query_tasks
 
     instance = _instance_from_flags(args)
     query: dict = {"kind": args.kind, "seed": args.seed}
@@ -1896,7 +1895,7 @@ def _run_localize(args) -> int:
         )
     else:
         query["max_subset_size"] = args.max_subset_size
-    result = run_query(
+    result = run_query_tasks(
         instance,
         _validated(instance, query),
         workers=args.workers,
@@ -2133,7 +2132,7 @@ def _shift_overrides(args, demand) -> list[dict]:
 def _run_predict(args) -> int:
     from repro.io import canonical_json
     from repro.predict.tasks import whatif_vectors_to_result
-    from repro.serve.queries import encode_vectors, run_query
+    from repro.serve.queries import encode_vectors, run_query_tasks
     from repro.utils.tables import format_table
 
     instance = _instance_from_flags(args)
@@ -2156,7 +2155,7 @@ def _run_predict(args) -> int:
             None if args.packets_per_path == 0 else args.packets_per_path
         ),
     }
-    result = run_query(
+    result = run_query_tasks(
         instance,
         _validated(instance, query),
         workers=args.workers,

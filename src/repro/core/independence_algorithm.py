@@ -18,8 +18,7 @@ Two deviations from that baseline are available for ablation:
 * running :func:`repro.core.correlation_algorithm.infer_congestion` with
   ``CorrelationStructure.trivial(topology)`` gives the independence
   assumption *plus* this paper's pair equations and L1 objective — i.e.
-  what the baseline would gain from the paper's machinery alone
-  (benchmark A1 in DESIGN.md).
+  what the baseline would gain from the paper's machinery alone.
 
 When links actually are correlated, the measured ``y`` values deviate
 from the assumed sums; least squares spreads the discrepancy across every

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.topology import Topology
 from repro.exceptions import MeasurementError
-from repro.utils.bitset import bit_count, iter_bits, subset_of
+from repro.utils.bitset import bit_count, bools_of
 
 __all__ = [
     "LocalizationResult",
@@ -90,14 +90,12 @@ def feasible_candidate_links(
     """Links allowed in *any* feasible explanation of ``congested_mask``.
 
     A link qualifies iff it covers at least one path and every path it
-    covers is congested.
+    covers is congested: it lies on a congested path and on no good one.
     """
-    return [
-        link.id
-        for link in topology.links
-        if topology.coverage[link.id]
-        and subset_of(topology.coverage[link.id], congested_mask)
-    ]
+    congested = bools_of(congested_mask, topology.n_paths)
+    allowed = topology.links_on_paths(congested)
+    allowed &= ~topology.links_on_paths(~congested)
+    return np.flatnonzero(allowed).tolist()
 
 
 def _resolve_infeasible(
@@ -187,12 +185,15 @@ def localize_map(
             noise_paths=noise,
         )
 
-    weights = {
-        k: math.log(probabilities[k] / (1.0 - probabilities[k]))
-        for k in candidates
-    }
+    # Per-candidate log-odds: the same IEEE quotients as one scalar at a
+    # time, each through math.log.
+    chosen_p = probabilities[candidates]
+    weights = dict(
+        zip(candidates, map(math.log, (chosen_p / (1.0 - chosen_p)).tolist()))
+    )
     # Descending weight: likely-congested links first.
     order = sorted(candidates, key=lambda k: -weights[k])
+    ordered_weights = [weights[k] for k in order]
     coverages = [topology.coverage[k] for k in order]
     # suffix_cover[i] = what candidates i.. can still cover.
     n = len(order)
@@ -202,18 +203,19 @@ def localize_map(
     # Optimistic bound: sum of positive weights from i on.
     suffix_gain = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        gain = max(weights[order[i]], 0.0)
+        gain = max(ordered_weights[i], 0.0)
         suffix_gain[i] = suffix_gain[i + 1] + gain
 
     best_score = -math.inf
     best_set: frozenset[int] = frozenset()
     exact = True
+    heappush, heappop = heapq.heappush, heapq.heappop
     # Max-heap on optimistic score (negated for heapq).
     counter = 0
     heap = [(-(suffix_gain[0]), counter, 0, 0, 0.0, ())]
     expanded = 0
     while heap:
-        neg_bound, _, index, covered, score, chosen = heapq.heappop(heap)
+        neg_bound, _, index, covered, score, chosen = heappop(heap)
         if -neg_bound <= best_score:
             continue
         expanded += 1
@@ -226,14 +228,15 @@ def localize_map(
         if index == n:
             continue
         remaining = congested_mask & ~covered
-        if not subset_of(remaining, suffix_cover[index]):
+        if remaining & ~suffix_cover[index]:
             continue
+        next_gain = suffix_gain[index + 1]
         # Branch 1: include candidate `index`.
-        include_score = score + weights[order[index]]
-        include_bound = include_score + suffix_gain[index + 1]
+        include_score = score + ordered_weights[index]
+        include_bound = include_score + next_gain
         counter += 1
         if include_bound > best_score:
-            heapq.heappush(
+            heappush(
                 heap,
                 (
                     -include_bound,
@@ -245,12 +248,12 @@ def localize_map(
                 ),
             )
         # Branch 2: exclude it.
-        exclude_bound = score + suffix_gain[index + 1]
+        exclude_bound = score + next_gain
         counter += 1
-        if exclude_bound > best_score and subset_of(
-            remaining, suffix_cover[index + 1]
+        if exclude_bound > best_score and not (
+            remaining & ~suffix_cover[index + 1]
         ):
-            heapq.heappush(
+            heappush(
                 heap,
                 (-exclude_bound, counter, index + 1, covered, score, chosen),
             )

@@ -9,7 +9,7 @@ solved in the least-squares sense with the sign constraint ``x ≤ 0``.  Our
 headline "independence algorithm" additionally uses pairwise observations
 (the same machinery the correlation algorithm gets); this module preserves
 the narrower original so the contribution of pair equations can be
-measured (benchmark A1 in DESIGN.md).
+measured.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import threading
 import numpy as np
 from scipy import sparse
 from scipy.optimize import lsq_linear
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve import _superlu
 
 from repro.exceptions import SolverError
 
@@ -128,6 +128,17 @@ def _log_primes(count: int) -> np.ndarray:
 #: below its bound; and the polish may move ``x`` by at most this times
 #: ``1 + max |x|`` before the raw vertex is kept instead.
 _ACTIVE_TOLERANCE = 1e-9
+
+#: The options ``scipy.sparse.linalg.splu(permc_spec="MMD_AT_PLUS_A",
+#: diag_pivot_thresh=0.0, options={"SymmetricMode": True})`` hands
+#: SuperLU; the polish calls SuperLU with them directly.
+_POLISH_LU_OPTIONS = {
+    "DiagPivotThresh": 0.0,
+    "ColPerm": "MMD_AT_PLUS_A",
+    "PanelSize": None,
+    "Relax": None,
+    "SymmetricMode": True,
+}
 
 
 def _row_products(matrix) -> tuple:
@@ -413,7 +424,7 @@ class L1Program:
             kept = np.flatnonzero(active[rows] & free[left] & free[right])
             if not kept.size:
                 return None
-            # int32 ids let the CSC matrix and splu take them uncopied.
+            # int32 ids are the index type SuperLU takes.
             index = np.cumsum(free, dtype=np.int32) - 1
             size = int(index[-1]) + 1
             row_ids, col_ids = index[left[kept]], index[right[kept]]
@@ -425,22 +436,21 @@ class L1Program:
             np.cumsum(
                 np.bincount(col_ids[starts], minlength=size), out=indptr[1:]
             )
-            normal = sparse.csc_matrix(
-                (
-                    np.add.reduceat(products[kept], starts),
-                    row_ids[starts],
-                    indptr,
-                ),
-                shape=(size, size),
-            )
+            values_csc = np.add.reduceat(products[kept], starts)
             try:
                 # Symmetric positive definite when R[A, F] has full
-                # column rank: factor it without pivoting.
-                factor = splu(
-                    normal,
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
+                # column rank: factor it without pivoting.  The arrays
+                # are already canonical CSC, so SuperLU takes them
+                # directly, with the options splu would pass.
+                factor = _superlu.gstrf(
+                    size,
+                    values_csc.size,
+                    values_csc,
+                    row_ids[starts],
+                    indptr,
+                    csc_construct_func=sparse.csc_array,
+                    ilu=False,
+                    options=_POLISH_LU_OPTIONS,
                 )
             except RuntimeError:  # exactly singular
                 return None

@@ -58,6 +58,8 @@ class Topology:
         self._all_paths_mask = (1 << len(self._paths)) - 1
         self._routing_dense: np.ndarray | None = None
         self._routing_sparse = None
+        self._entry_paths: np.ndarray | None = None
+        self._path_endpoints: tuple[tuple[Hashable, Hashable], ...] | None = None
         self._hash: int | None = None
 
     # ------------------------------------------------------------------
@@ -161,6 +163,20 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no path named {name!r}") from None
 
+    @property
+    def path_endpoints(self) -> tuple[tuple[Hashable, Hashable], ...]:
+        """``(source node, destination node)`` per path id, built on
+        first use."""
+        if self._path_endpoints is None:
+            self._path_endpoints = tuple(
+                (
+                    self._links[path.link_ids[0]].src,
+                    self._links[path.link_ids[-1]].dst,
+                )
+                for path in self._paths
+            )
+        return self._path_endpoints
+
     def link_ids(self, names: Iterable[str]) -> frozenset[int]:
         """Map link names to a frozenset of ids (convenience for tests)."""
         return frozenset(self.link(name).id for name in names)
@@ -194,6 +210,23 @@ class Topology:
         """All paths crossing link ``e_k`` (``ψ({e_k})`` expanded)."""
         mask = self._coverage[link_id]
         return [path for path in self._paths if mask >> path.id & 1]
+
+    def links_on_paths(self, paths: np.ndarray) -> np.ndarray:
+        """Boolean mask over link ids: the links of the paths that the
+        boolean ``paths`` (one entry per path id) selects.
+
+        One gather and one scatter over the routing matrix's entries
+        (O(links on all paths)), through the path id of each entry,
+        built on first use.
+        """
+        routing = self.routing_matrix_sparse()
+        if self._entry_paths is None:
+            self._entry_paths = np.repeat(
+                np.arange(self.n_paths), np.diff(routing.indptr)
+            )
+        selected = np.zeros(self.n_links, dtype=bool)
+        selected[routing.indices[paths[self._entry_paths]]] = True
+        return selected
 
     # ------------------------------------------------------------------
     # Linear-algebra view

@@ -32,11 +32,10 @@ def potentially_congested_links(
     topology: Topology, observations: PathObservations
 ) -> np.ndarray:
     """Link ids participating in at least one observed congested path."""
-    congested_paths = np.flatnonzero(observations.path_states.any(axis=0))
-    links: set[int] = set()
-    for path_id in congested_paths:
-        links.update(topology.paths[int(path_id)].link_ids)
-    return np.array(sorted(links), dtype=np.int64)
+    congested_paths = observations.path_states.any(axis=0)
+    return np.flatnonzero(topology.links_on_paths(congested_paths)).astype(
+        np.int64, copy=False
+    )
 
 
 @dataclass(frozen=True)

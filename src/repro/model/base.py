@@ -14,6 +14,7 @@ lives in :mod:`repro.model.network`.
 from __future__ import annotations
 
 import abc
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -35,6 +36,7 @@ class SetCongestionModel(abc.ABC):
         if not links:
             raise ModelError("a congestion model needs at least one link")
         self._links = frozenset(links)
+        self._member_order = sorted(self._links)
 
     @property
     def links(self) -> frozenset[int]:
@@ -44,8 +46,8 @@ class SetCongestionModel(abc.ABC):
     @property
     def member_order(self) -> list[int]:
         """Member link ids in sorted order — the column order of
-        :meth:`sample_matrix`."""
-        return sorted(self._links)
+        :meth:`sample_matrix`.  Computed once; do not mutate it."""
+        return self._member_order
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -84,6 +86,14 @@ class SetCongestionModel(abc.ABC):
         :meth:`sample_matrix` consumes the generator exactly as this
         one's."""
         return self
+
+    @functools.cached_property
+    def can_congest(self) -> bool:
+        """Whether any member link has a positive marginal.  A model
+        that cannot congest draws all-good states; a caller may then
+        skip mapping its uniforms (see
+        :meth:`repro.model.network.NetworkCongestionModel.sample_states`)."""
+        return any(self.marginal(link_id) > 0.0 for link_id in self._member_order)
 
     @property
     def uniform_width(self) -> int | None:

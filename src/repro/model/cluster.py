@@ -17,6 +17,7 @@ links per correlation set)".  Two pieces implement that:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator, Mapping
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.exceptions import ModelError
 from repro.model.base import SetCongestionModel
 from repro.model.common_cause import CommonCauseModel
 
-__all__ = ["ActiveSubsetModel", "make_cluster_model"]
+__all__ = ["ActiveSubsetModel", "make_cluster_model", "NEVER_CONGESTING_CACHE"]
 
 
 class ActiveSubsetModel(SetCongestionModel):
@@ -105,6 +106,24 @@ class ActiveSubsetModel(SetCongestionModel):
         return self._inner.state_probability(subset)
 
 
+#: How many never-congesting set models :func:`make_cluster_model`
+#: keeps for reuse (least recently used dropped first).  One is ~1 KB;
+#: the bound covers the sets of several paper-scale topologies.
+NEVER_CONGESTING_CACHE = 2**14
+
+
+@functools.lru_cache(maxsize=NEVER_CONGESTING_CACHE)
+def _never_congesting(set_links: frozenset[int]) -> ActiveSubsetModel:
+    """The all-good model of one correlation set: an independent model
+    at probability 0 on one member, so it still draws one uniform per
+    snapshot, extended to the whole set."""
+    from repro.model.independent import IndependentModel
+
+    return ActiveSubsetModel(
+        set_links, IndependentModel({next(iter(set_links)): 0.0})
+    )
+
+
 def make_cluster_model(
     set_links: frozenset[int],
     active_links: frozenset[int],
@@ -118,21 +137,16 @@ def make_cluster_model(
         set_links: The whole correlation set.
         active_links: The scenario's congested links inside it (size > 2
             for the "highly correlated" experiments, ≤ 2 for "loosely
-            correlated").  Empty means the set never congests.
+            correlated").  Empty means the set never congests: the
+            answer is then one shared, immutable model per set, built on
+            the set's first such call and ignoring the two knobs.
         cause_probability: Shared-cause activation probability; the knob
             that makes the active links congest *together*.
         background: Per-link independent congestion on top of the cause.
     """
     active_links = frozenset(active_links)
     if not active_links:
-        # Degenerate: the set never congests; represent with an explicit
-        # all-good distribution via an independent model at probability 0.
-        from repro.model.independent import IndependentModel
-
-        return ActiveSubsetModel(
-            frozenset(set_links),
-            IndependentModel({next(iter(set_links)): 0.0}),
-        )
+        return _never_congesting(frozenset(set_links))
     inner = CommonCauseModel(
         active_links,
         cause_probability=cause_probability,

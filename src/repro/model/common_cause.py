@@ -69,7 +69,7 @@ class CommonCauseModel(SetCongestionModel):
         else:
             value = check_probability(background, "background")
             self._background = {link_id: value for link_id in self._links}
-        self._order = sorted(self._links)
+        self._order = self.member_order
         self._vector = np.array(
             [self._background[k] for k in self._order], dtype=np.float64
         )

@@ -36,7 +36,7 @@ class IndependentModel(SetCongestionModel):
             link_id: check_probability(value, f"P(X_{link_id}=1)")
             for link_id, value in probabilities.items()
         }
-        self._order = sorted(self._probabilities)
+        self._order = self.member_order
         self._vector = np.array(
             [self._probabilities[k] for k in self._order], dtype=np.float64
         )

@@ -21,6 +21,11 @@ from repro.model.independent import IndependentModel
 __all__ = ["NetworkCongestionModel"]
 
 
+def _columns(model: SetCongestionModel) -> np.ndarray:
+    """The state-matrix columns of a model's :meth:`sample_matrix`."""
+    return np.array(model.member_order, dtype=np.intp)
+
+
 class NetworkCongestionModel:
     """Joint congestion behaviour of the whole network.
 
@@ -43,31 +48,51 @@ class NetworkCongestionModel:
                 f"got {len(models)} set models for {correlation.n_sets} "
                 "correlation sets"
             )
+        self._correlation = correlation
+        self._models = tuple(models)
+        # sample_states' order of draws, over each model's sampler.  A
+        # sampler without a uniform width draws alone, as (None,
+        # (sampler, its columns)).  A run of consecutive samplers with
+        # one takes its uniforms from one rng.random call, as (the run's
+        # total width, its writes): a write (offset, width, sampler,
+        # columns) maps the sampler's slice of the uniforms.  A sampler
+        # that cannot congest has no write, since its states are all
+        # good; it only moves the next offset on by its width.
+        plan: list = []
+        total = None
+        writes: list = []
+        # link_marginals' models: those whose sampler can congest (the
+        # others' marginals are all 0).
+        congesting = []
         for index, (group, model) in enumerate(
-            zip(correlation.sets, models)
+            zip(correlation.sets, self._models)
         ):
-            if model.links != group:
+            if model.links is not group and model.links != group:
                 raise ModelError(
                     f"set model #{index} governs links "
                     f"{sorted(model.links)} but correlation set #{index} "
                     f"is {sorted(group)}"
                 )
-        self._correlation = correlation
-        self._models = tuple(models)
-        # sample_states' order of draws over each model's sampler: runs
-        # of consecutive samplers with a uniform width, each drawn in
-        # one call, as (samplers, width); any other sampler alone, as
-        # ((sampler,), None).
-        plan: list[tuple[tuple[SetCongestionModel, ...], int | None]] = []
-        for model in self._models:
-            model = model.sampler
-            width = model.uniform_width
-            if width is not None and plan and plan[-1][1] is not None:
-                run, total = plan[-1]
-                plan[-1] = (run + (model,), total + width)
-            else:
-                plan.append(((model,), width))
-        self._draw_plan = plan
+            sampler = model.sampler
+            width = sampler.uniform_width
+            if width is None:
+                if total is not None:
+                    plan.append((total, tuple(writes)))
+                    total, writes = None, []
+                plan.append((None, (sampler, _columns(sampler))))
+                if sampler.can_congest:
+                    congesting.append(model)
+                continue
+            if total is None:
+                total = 0
+            if sampler.can_congest:
+                writes.append((total, width, sampler, _columns(sampler)))
+                congesting.append(model)
+            total += width
+        if total is not None:
+            plan.append((total, tuple(writes)))
+        self._draw_plan = tuple(plan)
+        self._congesting = tuple(congesting)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -144,24 +169,24 @@ class NetworkCongestionModel:
         take their uniforms from one ``rng.random`` call, split in
         order: consecutive calls draw the same numbers as one call of
         their total size, so the states and the generator's state after
-        are the same bytes as per-set draws.
+        are the same bytes as per-set draws.  A sampler that
+        :attr:`~repro.model.base.SetCongestionModel.can_congest` not
+        still has its uniforms drawn, but they are never mapped: its
+        states stay all good.
         """
         states = np.zeros((n_snapshots, self.n_links), dtype=bool)
-        for run, width in self._draw_plan:
-            if width is None:
-                (model,) = run
-                states[:, model.member_order] = model.sample_matrix(
-                    rng, n_snapshots
-                )
+        for total, writes in self._draw_plan:
+            if total is None:
+                sampler, columns = writes
+                states[:, columns] = sampler.sample_matrix(rng, n_snapshots)
                 continue
-            uniforms = rng.random(n_snapshots * width)
-            start = 0
-            for model in run:
-                stop = start + n_snapshots * model.uniform_width
-                states[:, model.member_order] = model.states_from(
-                    uniforms[start:stop], n_snapshots
+            uniforms = rng.random(n_snapshots * total)
+            for offset, width, sampler, columns in writes:
+                start = n_snapshots * offset
+                states[:, columns] = sampler.states_from(
+                    uniforms[start : start + n_snapshots * width],
+                    n_snapshots,
                 )
-                start = stop
         return states
 
     # ------------------------------------------------------------------
@@ -170,7 +195,7 @@ class NetworkCongestionModel:
     def link_marginals(self) -> np.ndarray:
         """``P(X_ek = 1)`` per link id — the target of the evaluation."""
         marginals = np.zeros(self.n_links, dtype=np.float64)
-        for model in self._models:
+        for model in self._congesting:
             for link_id in model.links:
                 marginals[link_id] = model.marginal(link_id)
         return marginals

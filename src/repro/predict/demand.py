@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.exceptions import TopologyError
 from repro.io import canonical_json
 
 __all__ = [
@@ -285,13 +286,6 @@ class DemandMatrix:
         pairs with no routed path all fail loudly.
         """
         n_paths = topology.n_paths
-        endpoints = [
-            (
-                topology.links[path.link_ids[0]].src,
-                topology.links[path.link_ids[-1]].dst,
-            )
-            for path in topology.paths
-        ]
         candidates: list[tuple[int, ...]] = []
         for flow in self.flows:
             if flow.paths is not None:
@@ -314,8 +308,10 @@ class DemandMatrix:
                 resolved = tuple(sorted(set(ids)))
             else:
                 resolved = tuple(
-                    path.id
-                    for path, (src, dst) in zip(topology.paths, endpoints)
+                    path_id
+                    for path_id, (src, dst) in enumerate(
+                        topology.path_endpoints
+                    )
                     if str(src) == str(flow.src) and str(dst) == str(flow.dst)
                 )
                 if not resolved:
@@ -334,19 +330,17 @@ class DemandMatrix:
             incidence.flags.writeable = False
             incidences.append(incidence)
 
-        capacity_by_name = dict(self.capacities)
-        unknown_links = sorted(
-            set(capacity_by_name) - {link.name for link in topology.links}
-        )
+        capacities = np.full(n_links, self.default_capacity, dtype=np.float64)
+        unknown_links = []
+        for name, capacity in self.capacities:
+            try:
+                capacities[topology.link(name).id] = capacity
+            except TopologyError:
+                unknown_links.append(name)
         if unknown_links:
-            raise ValueError(f"capacities name unknown link(s) {unknown_links}")
-        capacities = np.array(
-            [
-                capacity_by_name.get(link.name, self.default_capacity)
-                for link in topology.links
-            ],
-            dtype=np.float64,
-        )
+            raise ValueError(
+                f"capacities name unknown link(s) {sorted(unknown_links)}"
+            )
         capacities.flags.writeable = False
         rates = np.array([flow.rate for flow in self.flows], dtype=np.float64)
         rates.flags.writeable = False

@@ -20,7 +20,8 @@ evaluators share that definition:
   tested against.
 - :func:`exceedance_sample` — seeded Monte Carlo over joint
   assignments, the fallback above the configurable flow-count
-  threshold.
+  threshold or when :func:`exact_state_bound` exceeds
+  :data:`EXACT_STATE_BUDGET`.
 
 :class:`CongestionModel` picks the evaluator and memoizes whole
 predictions through the existing :class:`repro.eval.cache.TrialCache`,
@@ -42,6 +43,8 @@ from repro.predict.demand import ResolvedDemand
 from repro.utils.rng import as_generator, clone_generator
 
 __all__ = [
+    "EXACT_STATE_BUDGET",
+    "exact_state_bound",
     "exceedance_exact",
     "exceedance_naive",
     "exceedance_sample",
@@ -52,6 +55,13 @@ __all__ = [
 
 #: Cache-key salt; bump when the prediction semantics or the key change.
 PREDICT_SALT = "predict-v2"
+
+#: Most memo states the exact recursion may need on one link (see
+#: :func:`exact_state_bound`); a forecast whose bound is larger runs on
+#: Monte Carlo.  The recursion's time grows with its states: 16 flows of
+#: distinct rates, each crossing a link with probability 1/2, bound
+#: ~1M states and took ~42 ms for that link on a 2-core x86 host.
+EXACT_STATE_BUDGET = 2**16
 
 
 def _as_inputs(rates, incidences, limits):
@@ -84,13 +94,38 @@ def _boundary(limits: np.ndarray) -> np.ndarray:
     return limits + 1e-9 * (1.0 + np.abs(limits))
 
 
-def expected_load(rates, incidences) -> np.ndarray:
-    """Mean per-link load: ``sum_f rate_f × P(f crosses link)``."""
-    rates = np.asarray(rates, dtype=np.float64)
-    membership = np.stack(
+def _membership(incidences) -> np.ndarray:
+    """``(n_flows, n_links)``: the probability a flow crosses a link."""
+    return np.stack(
         [np.asarray(inc, dtype=np.float64).mean(axis=0) for inc in incidences]
     )
-    return rates @ membership
+
+
+def expected_load(rates, incidences) -> np.ndarray:
+    """Mean per-link load: ``sum_f rate_f × P(f crosses link)``."""
+    return np.asarray(rates, dtype=np.float64) @ _membership(incidences)
+
+
+def exact_state_bound(rates, membership) -> int:
+    """An upper bound on the memo states of the exact recursion on any
+    one link, capped at ``EXACT_STATE_BUDGET + 1``.
+
+    On a link, the uncertain flows (crossing with probability strictly
+    between 0 and 1, at a non-zero rate) are the recursion's depth, and
+    the partial loads it can reach at any depth are sums of at most
+    ``m`` flows of each distinct rate that ``m`` uncertain flows share:
+    at most the product over those rates of ``m + 1``.
+    """
+    rates = np.asarray(rates, dtype=np.float64)
+    membership = np.asarray(membership, dtype=np.float64)
+    uncertain = (membership > 0.0) & (membership < 1.0)
+    uncertain &= (rates != 0.0)[:, None]
+    cap = EXACT_STATE_BUDGET + 1
+    bound = uncertain.sum(axis=0, dtype=np.int64)
+    for rate in np.unique(rates[uncertain.any(axis=1)]):
+        count = uncertain[rates == rate].sum(axis=0, dtype=np.int64)
+        bound = np.minimum(bound * (count + 1), cap)
+    return int(bound.max(initial=0))
 
 
 def _link_exceed(rates: tuple, probs: tuple, headroom: float, memo: dict) -> float:
@@ -123,14 +158,22 @@ def _link_exceed(rates: tuple, probs: tuple, headroom: float, memo: dict) -> flo
     return solve(0, headroom)
 
 
-def exceedance_exact(rates, incidences, limits) -> np.ndarray:
-    """Exact per-link exceedance probabilities via memoized recursion."""
+def exceedance_exact(
+    rates, incidences, limits, *, membership=None
+) -> np.ndarray:
+    """Exact per-link exceedance probabilities via memoized recursion.
+
+    ``membership``: the incidences' crossing probabilities (see
+    :meth:`repro.predict.demand.ResolvedDemand.membership`), when the
+    caller already has them.
+    """
     rates, incidences, limits = _as_inputs(rates, incidences, limits)
-    membership = (
-        np.stack([inc.mean(axis=0) for inc in incidences])
-        if incidences
-        else np.zeros((0, limits.size))
-    )
+    if membership is None:
+        membership = (
+            _membership(incidences)
+            if incidences
+            else np.zeros((0, limits.size))
+        )
     rate_list = rates.tolist()
     out = np.empty(limits.size, dtype=np.float64)
     for link, (headroom, column) in enumerate(
@@ -231,7 +274,9 @@ class CongestionModel:
             exceeds this fraction of capacity (0.85 = the proactive
             alert level of the predictor snippets).
         exact_max_flows: Flow sets up to this size use the exact
-            memoized recursion; larger sets fall back to Monte Carlo.
+            memoized recursion, unless its state bound exceeds
+            :data:`EXACT_STATE_BUDGET`; larger sets fall back to Monte
+            Carlo.
         mc_samples: Sample count for the fallback.
     """
 
@@ -256,8 +301,25 @@ class CongestionModel:
         self.exact_max_flows = int(exact_max_flows)
         self.mc_samples = int(mc_samples)
 
-    def method_for(self, n_flows: int) -> str:
-        return "exact" if n_flows <= self.exact_max_flows else "monte-carlo"
+    def method_for(self, n_flows: int, states: int = 0) -> str:
+        """``"exact"`` for at most :attr:`exact_max_flows` flows whose
+        :func:`exact_state_bound` is ``states`` <=
+        :data:`EXACT_STATE_BUDGET`; ``"monte-carlo"`` otherwise."""
+        if n_flows <= self.exact_max_flows and states <= EXACT_STATE_BUDGET:
+            return "exact"
+        return "monte-carlo"
+
+    def method(self, resolved: ResolvedDemand, rates, membership=None) -> str:
+        """The evaluator :meth:`predict` uses for ``rates`` on
+        ``resolved`` (``membership``: its :meth:`ResolvedDemand.membership`,
+        when the caller already has it)."""
+        if resolved.n_flows > self.exact_max_flows:
+            return "monte-carlo"
+        if membership is None:
+            membership = resolved.membership()
+        return self.method_for(
+            resolved.n_flows, exact_state_bound(rates, membership)
+        )
 
     def _key(self, resolved: ResolvedDemand, rates, method: str, seed) -> str:
         from repro.eval.cache import seed_fingerprint
@@ -307,7 +369,8 @@ class CongestionModel:
                 f"rates must have shape {resolved.rates.shape}, "
                 f"got {rates.shape}"
             )
-        method = self.method_for(resolved.n_flows)
+        membership = resolved.membership()
+        method = self.method(resolved, rates, membership)
         limits = self.utilization_threshold * resolved.capacities
         key = None
         if cache is not None:
@@ -324,7 +387,9 @@ class CongestionModel:
                     cached=True,
                 )
         if method == "exact":
-            probability = exceedance_exact(rates, resolved.incidences, limits)
+            probability = exceedance_exact(
+                rates, resolved.incidences, limits, membership=membership
+            )
         else:
             rng = as_generator(clone_generator(seed))
             probability = exceedance_sample(
@@ -334,7 +399,7 @@ class CongestionModel:
                 rng=rng,
                 n_samples=self.mc_samples,
             )
-        mean_load = expected_load(rates, resolved.incidences)
+        mean_load = rates @ membership
         if cache is not None:
             cache.put(
                 key,

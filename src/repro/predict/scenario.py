@@ -27,7 +27,13 @@ from repro.predict.demand import DemandMatrix, DemandShift
 from repro.predict.model import CongestionModel
 from repro.utils.rng import spawn_children
 
-__all__ = ["ShiftRisk", "WhatIfResult", "WhatIfScenario", "risk_ranking"]
+__all__ = [
+    "ShiftRisk",
+    "WhatIfResult",
+    "WhatIfScenario",
+    "chosen_shifts",
+    "risk_ranking",
+]
 
 
 def risk_ranking(risk: np.ndarray) -> np.ndarray:
@@ -73,6 +79,19 @@ class WhatIfResult:
         raise KeyError(f"no shift named {name!r}")
 
 
+def chosen_shifts(demand: DemandMatrix, shifts=None) -> tuple[DemandShift, ...]:
+    """The shifts a what-if evaluates: ``shifts`` when given, else the
+    matrix's own named shifts, else the identity ``baseline`` shift.
+    Raises :class:`ValueError` on a duplicate name."""
+    chosen = tuple(shifts) if shifts is not None else demand.shifts
+    if not chosen:
+        chosen = (DemandShift(name="baseline"),)
+    names = [shift.name for shift in chosen]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate shift name(s) in {names}")
+    return chosen
+
+
 class WhatIfScenario:
     """Inference→prediction driver for one instance + demand matrix.
 
@@ -107,13 +126,7 @@ class WhatIfScenario:
         self.registry = registry
         self.cache = cache
         self.resolved = demand.resolve(instance.topology)
-        chosen = tuple(shifts) if shifts is not None else demand.shifts
-        if not chosen:
-            chosen = (DemandShift(name="baseline"),)
-        names = [shift.name for shift in chosen]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate shift name(s) in {names}")
-        self.shifts: tuple[DemandShift, ...] = chosen
+        self.shifts: tuple[DemandShift, ...] = chosen_shifts(demand, shifts)
 
     def infer_current(self, observations) -> np.ndarray:
         """Per-link congestion probabilities inferred from the probes."""

@@ -52,6 +52,7 @@ __all__ = [
     "validate_query",
     "query_tasks",
     "run_query",
+    "run_query_tasks",
     "encode_vectors",
     "decode_vectors",
     "run_localization_task",
@@ -183,8 +184,9 @@ def _check_window(kwargs: dict) -> None:
     kwargs["per_set_range"] = resolve_per_set_range(spec)
 
 
-def _normalize_whatif(kwargs: dict) -> dict:
-    """Canonicalise and validate the what-if parameters.
+def _normalize_whatif(kwargs: dict):
+    """Canonicalise and validate the what-if parameters; returns the
+    demand matrix and the shifts a forecast evaluates.
 
     The demand payload round-trips through :class:`DemandMatrix` so
     equivalent spellings (int vs float rates, missing optional fields)
@@ -193,11 +195,13 @@ def _normalize_whatif(kwargs: dict) -> dict:
     instead of poisoning a service batch at execution time.
     """
     from repro.predict.demand import DemandMatrix, DemandShift
+    from repro.predict.scenario import chosen_shifts
 
     demand = kwargs.get("demand")
     if demand is None:
         raise ValueError("whatif queries require a 'demand' matrix payload")
-    kwargs["demand"] = DemandMatrix.from_payload(demand).to_payload()
+    matrix = DemandMatrix.from_payload(demand)
+    kwargs["demand"] = matrix.to_payload()
     shifts = kwargs.get("shifts")
     if shifts is not None:
         if not isinstance(shifts, list) or not shifts:
@@ -205,13 +209,12 @@ def _normalize_whatif(kwargs: dict) -> dict:
                 "'shifts' must be a non-empty list of shift objects (or "
                 "omitted to use the demand matrix's own)"
             )
-        kwargs["shifts"] = [
-            DemandShift.from_payload(shift).to_payload() for shift in shifts
-        ]
+        shifts = [DemandShift.from_payload(shift) for shift in shifts]
+        kwargs["shifts"] = [shift.to_payload() for shift in shifts]
     _check_number(kwargs, "utilization_threshold", 0.0, open_low=True)
     _check_integer(kwargs, "exact_max_flows", 0, MAX_EXACT_FLOWS)
     _check_integer(kwargs, "mc_samples", 1, MAX_MC_SAMPLES)
-    return kwargs
+    return matrix, chosen_shifts(matrix, shifts)
 
 
 def normalize_query(query: dict) -> tuple[str, dict, int]:
@@ -228,6 +231,13 @@ def normalize_query(query: dict) -> tuple[str, dict, int]:
     and round-trips through JSON codecs all produce the same task
     kwargs.
     """
+    runner, kwargs, seed, _ = _normalize(query)
+    return runner, kwargs, seed
+
+
+def _normalize(query: dict) -> tuple[str, dict, int, tuple | None]:
+    """:func:`normalize_query`, plus a what-if query's ``(demand
+    matrix, shifts)`` (``None`` for the other kinds)."""
     if not isinstance(query, dict):
         raise ValueError(f"query must be an object, got {type(query).__name__}")
     query = dict(query)
@@ -250,16 +260,18 @@ def normalize_query(query: dict) -> tuple[str, dict, int]:
     kwargs = {**defaults, **query}
     if "per_set_range" in kwargs:
         _check_window(kwargs)
+    whatif = None
     if kind == "localization":
         _check_integer(kwargs, "loc_snapshots", 0, MAX_SNAPSHOTS)
         _check_integer(kwargs, "max_nodes", 1, MAX_NODES)
     elif kind == "whatif":
-        kwargs = _normalize_whatif(kwargs)
-    return runner, kwargs, seed
+        whatif = _normalize_whatif(kwargs)
+    return runner, kwargs, seed, whatif
 
 
-def validate_query(instance, query: dict) -> None:
-    """Full pre-queue validation of one query against its instance.
+def validate_query(instance, query: dict) -> list[ScenarioTask]:
+    """Full pre-queue validation of one query against its instance;
+    returns the query's tasks (see :func:`query_tasks`).
 
     :func:`normalize_query` checks everything checkable without a
     topology; this additionally binds a what-if query's demand matrix
@@ -267,26 +279,32 @@ def validate_query(instance, query: dict) -> None:
     pairs with no routed path) are rejected as bad requests instead of
     failing — and taking co-batched queries with them — inside the
     engine.  It also bounds the query's matrices on this topology by
-    :data:`MAX_QUERY_CELLS`.  Raises :class:`ValueError`.
+    :data:`MAX_QUERY_CELLS`, the Monte Carlo samples only when some
+    shift's forecast would draw them.  Raises :class:`ValueError`.
     """
-    runner, kwargs, _ = normalize_query(query)
+    runner, kwargs, seed, whatif = _normalize(query)
     topology = instance.topology
     if "n_snapshots" in kwargs:
         _check_cells(
             "n_snapshots x (links + paths)",
             kwargs["n_snapshots"] * (topology.n_links + topology.n_paths),
         )
-    if runner == WHATIF_RUNNER:
-        from repro.predict.demand import DemandMatrix
+    if whatif is not None:
+        from repro.predict.model import CongestionModel
 
-        resolved = DemandMatrix.from_payload(kwargs["demand"]).resolve(
-            topology
-        )
-        if resolved.n_flows > kwargs["exact_max_flows"]:
-            _check_cells(
-                "mc_samples x links (Monte Carlo forecast)",
-                kwargs["mc_samples"] * topology.n_links,
-            )
+        matrix, shifts = whatif
+        resolved = matrix.resolve(topology)
+        cells = kwargs["mc_samples"] * topology.n_links
+        if cells > MAX_QUERY_CELLS:
+            model = CongestionModel(exact_max_flows=kwargs["exact_max_flows"])
+            membership = resolved.membership()
+            if any(
+                model.method(resolved, resolved.rates_under(shift), membership)
+                == "monte-carlo"
+                for shift in shifts
+            ):
+                _check_cells("mc_samples x links (Monte Carlo forecast)", cells)
+    return scenario_tasks(runner, kwargs, n_trials=1, seed=seed)
 
 
 def _check_cells(what: str, cells: int) -> None:
@@ -320,13 +338,36 @@ def run_query(
 ) -> dict[str, np.ndarray]:
     """Execute one query end to end through the scenario engine.
 
-    This is the batch-mode entry point (the ``localize`` CLI command);
-    the service runs the very same tasks, merely coalescing several
-    queries into one engine call.
+    This is the in-process entry point; the service runs the very same
+    tasks, merely coalescing several queries into one engine call.
     """
+    return run_query_tasks(
+        instance,
+        query_tasks(query),
+        options=options,
+        workers=workers,
+        cache=cache,
+        executor=executor,
+        registry=registry,
+    )
+
+
+def run_query_tasks(
+    instance,
+    tasks: list[ScenarioTask],
+    *,
+    options=None,
+    workers=None,
+    cache=None,
+    executor=None,
+    registry=None,
+) -> dict[str, np.ndarray]:
+    """Execute one query's tasks (from :func:`query_tasks` or
+    :func:`validate_query`) through the scenario engine: what
+    :func:`run_query` does once the query is parsed, and what the
+    ``localize`` and ``predict`` CLI commands run after validation."""
     from repro.eval.parallel import run_scenario_tasks
 
-    tasks = query_tasks(query)
     results = run_scenario_tasks(
         instance,
         tasks,

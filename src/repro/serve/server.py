@@ -26,9 +26,10 @@ header lines → 431, header lines still incomplete
 :data:`HEAD_READ_SECONDS` after the request line → 408, a body still
 short of its Content-Length after :data:`BODY_READ_SECONDS` → 408, a
 Content-Length that is not plain ASCII digits → 400, a request body
-sent with ``Transfer-Encoding`` → 501 (each of these seven then closes
-the connection), batcher queue full
-(backpressure) → 429, shutting down → 503.  Query execution itself
+sent with ``Transfer-Encoding`` → 501, a connection beyond
+:data:`MAX_CONNECTIONS` open ones → 503 (each of these eight then
+closes the connection), batcher queue full (backpressure) → 429,
+shutting down → 503.  Query execution itself
 happens on a worker thread through
 :func:`repro.eval.parallel.run_scenario_tasks`, so answers are
 bit-identical to the batch CLI's for the same seeds.
@@ -44,7 +45,7 @@ import time
 
 from repro.eval.parallel import run_scenario_tasks
 from repro.serve.batching import BatcherClosed, BatcherFull, QueryBatcher
-from repro.serve.queries import encode_vectors, query_tasks, validate_query
+from repro.serve.queries import encode_vectors, validate_query
 from repro.serve.registry import StoreFull, TopologyStore, instance_from_payload
 from repro.serve.stream import StepFailure
 
@@ -71,6 +72,10 @@ HEAD_READ_SECONDS = 10.0
 #: body shorter than its Content-Length would otherwise hold the
 #: connection forever.
 BODY_READ_SECONDS = 10.0
+
+#: Upper bound on open connections.  One more is answered with a 503
+#: and closed; the connections already open are served as before.
+MAX_CONNECTIONS = 256
 
 #: How long a refused connection keeps reading (and discarding) what the
 #: peer is still sending before it closes.
@@ -223,6 +228,8 @@ class TomographyService:
         throughput only — each query's answer is the one it would get
         alone (and identical to the batch CLI's).
 
+        A query arrives as the task list :func:`validate_query` made
+        from it on the event loop, so it is not parsed again here.
         Callable payloads are streaming window-update jobs
         (:meth:`repro.serve.stream.StreamSession.step` closures); they
         run directly on this worker thread, in batch order, sharing the
@@ -241,7 +248,7 @@ class TomographyService:
                     results[position] = StepFailure(exc)
             else:
                 positions.append(position)
-                tasks.extend(query_tasks(query, group=position))
+                tasks.extend(query)
         if tasks:
             task_results = run_scenario_tasks(
                 instance,
@@ -290,8 +297,15 @@ class TomographyService:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
+        at_capacity = len(self._connections) >= MAX_CONNECTIONS
         self._connections[task] = writer
         try:
+            if at_capacity:
+                raise _HttpError(
+                    503,
+                    f"the service already holds {MAX_CONNECTIONS} "
+                    "connections; retry later",
+                )
             while True:
                 request_line = await _read_line(reader, 414, "request line")
                 if not request_line:
@@ -355,9 +369,10 @@ class TomographyService:
                 if not keep_alive:
                     break
         except _HttpError as exc:
-            # A request head too long to read or that never completes,
-            # a body whose length cannot be known, or a body that never
-            # arrives: answer once, then close.
+            # One connection too many, a request head too long to read
+            # or that never completes, a body whose length cannot be
+            # known, or a body that never arrives: answer once, then
+            # close.
             # Closing with the rest of the request unread would reset
             # the connection, which can destroy the answer before the
             # peer reads it; so half-close and drain for a bounded time.
@@ -523,11 +538,11 @@ class TomographyService:
             # Reject bad queries before queueing — including what-if
             # demands that do not bind to this topology, which would
             # otherwise fail mid-batch and take co-batched queries down.
-            validate_query(entry.instance, query)
+            tasks = validate_query(entry.instance, query)
         except ValueError as exc:
             raise _HttpError(400, str(exc)) from None
         try:
-            result = await entry.batcher.submit(query)
+            result = await entry.batcher.submit(tasks)
         except BatcherFull as exc:
             raise _HttpError(429, str(exc)) from None
         except BatcherClosed as exc:

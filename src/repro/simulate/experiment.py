@@ -121,10 +121,12 @@ def run_experiment(
         loss = uniforms * threshold
         loss[states] = threshold + uniforms[states] * (1.0 - threshold)
         # log survival per path:  log Π (1 − loss) = Σ log1p(−loss);
-        # reuse the loss buffer for the element-wise stages.
+        # reuse the loss buffer for the element-wise stages.  The
+        # product is the one ``loss @ routing.T`` dispatches to, without
+        # building the transposed matrix every batch.
         np.negative(loss, out=loss)
         np.log1p(loss, out=loss)
-        log_survival = loss @ routing.T
+        log_survival = (routing @ loss.T).T
         np.exp(log_survival, out=log_survival)
         true_loss = np.subtract(1.0, log_survival, out=log_survival)
         if config.packets_per_path is None:

@@ -12,7 +12,7 @@ congestion verdicts and implements both measurement protocols:
 Zero-count smoothing: an event never observed in ``N`` snapshots gets
 frequency ``1/(2N)`` instead of 0, keeping logarithms finite.  This is the
 usual "half a count" continuity correction; its effect vanishes as ``N``
-grows and is documented in DESIGN.md.
+grows.
 
 Every estimator is backed by a *batch kernel* — one NumPy operation over
 all paths (or all requested pairs) at once:

@@ -16,10 +16,10 @@ error from probing noise).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.topology import Topology
 from repro.model.loss import DEFAULT_LINK_THRESHOLD, path_threshold
@@ -48,11 +48,35 @@ class ProbeConfig:
             )
 
 
+#: ``t_p`` per path id, per topology and link threshold.  They depend
+#: on the topology alone, so each is built once, read-only, and shared
+#: by every prober; an entry lives as long as its topology.
+_THRESHOLDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _path_thresholds(topology: Topology, link_threshold: float) -> np.ndarray:
+    by_threshold = _THRESHOLDS.get(topology)
+    if by_threshold is None:
+        by_threshold = _THRESHOLDS.setdefault(topology, {})
+    thresholds = by_threshold.get(link_threshold)
+    if thresholds is None:
+        thresholds = np.array(
+            [
+                path_threshold(path.length, link_threshold)
+                for path in topology.paths
+            ],
+            dtype=np.float64,
+        )
+        thresholds.flags.writeable = False
+        by_threshold[link_threshold] = thresholds
+    return thresholds
+
+
 class PathProber:
     """Vectorised per-snapshot path measurement.
 
-    Precomputes the sparse routing matrix and per-path congestion
-    thresholds once; :meth:`measure` then turns a snapshot's link loss
+    Takes the topology's sparse routing matrix and its per-path
+    congestion thresholds (both built once per topology); :meth:`measure` then turns a snapshot's link loss
     rates into per-path congestion verdicts.
     """
 
@@ -60,13 +84,7 @@ class PathProber:
         self._topology = topology
         self._config = config
         self._routing = topology.routing_matrix_sparse()
-        self._thresholds = np.array(
-            [
-                path_threshold(path.length, config.link_threshold)
-                for path in topology.paths
-            ],
-            dtype=np.float64,
-        )
+        self._thresholds = _path_thresholds(topology, config.link_threshold)
 
     @property
     def config(self) -> ProbeConfig:

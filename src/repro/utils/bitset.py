@@ -13,7 +13,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-__all__ = ["mask_of", "bits_of", "iter_bits", "bit_count", "subset_of"]
+import numpy as np
+
+__all__ = [
+    "mask_of",
+    "bits_of",
+    "iter_bits",
+    "bit_count",
+    "subset_of",
+    "bools_of",
+]
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -71,3 +80,19 @@ def subset_of(inner: int, outer: int) -> bool:
     False
     """
     return inner & ~outer == 0
+
+
+def bools_of(mask: int, size: int) -> np.ndarray:
+    """The first ``size`` bits of ``mask`` as a boolean vector (entry
+    ``i`` is bit ``i``).
+
+    >>> bools_of(5, 4).tolist()
+    [True, False, True, False]
+    """
+    if mask < 0:
+        raise ValueError(f"bitmask must be non-negative, got {mask}")
+    data = mask.to_bytes((max(mask.bit_length(), size) + 7) // 8, "little")
+    bits = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8), count=size, bitorder="little"
+    )
+    return bits.view(bool)

@@ -137,3 +137,65 @@ class TestGroundTruth:
         assert scenario.metadata["achieved"] == len(
             scenario.congested_links
         )
+
+
+class TestSharedNeverCongestingModels:
+    """Sets with no congested link share one model across scenarios,
+    and a run on them equals one on freshly built models."""
+
+    @staticmethod
+    def fresh(scenario):
+        from repro.model.cluster import ActiveSubsetModel
+        from repro.model.independent import IndependentModel
+        from repro.model.network import NetworkCongestionModel
+
+        truth = scenario.truth_model
+        models = [
+            model
+            if model.sampler.can_congest
+            else ActiveSubsetModel(
+                model.links, IndependentModel({min(model.links): 0.0})
+            )
+            for model in truth.models
+        ]
+        return NetworkCongestionModel(truth.correlation, models)
+
+    def test_two_scenarios_share_and_answer_as_fresh(self, planetlab_small):
+        from repro.simulate.experiment import ExperimentConfig, run_experiment
+
+        first = make_clustered_scenario(planetlab_small, seed=11)
+        second = make_clustered_scenario(planetlab_small, seed=12)
+        pairs = list(zip(first.truth_model.models, second.truth_model.models))
+        quiet = [
+            (a, b)
+            for a, b in pairs
+            if not (a.sampler.can_congest or b.sampler.can_congest)
+        ]
+        assert quiet and all(a is b for a, b in quiet)
+        config = ExperimentConfig(n_snapshots=80, packets_per_path=300)
+        for scenario in (first, second):
+            fresh = self.fresh(scenario)
+            assert not any(
+                a is b
+                for a, b in zip(fresh.models, scenario.truth_model.models)
+                if not a.sampler.can_congest
+            )
+            shared_run = run_experiment(
+                planetlab_small.topology, scenario.truth_model,
+                config=config, seed=5,
+            )
+            fresh_run = run_experiment(
+                planetlab_small.topology, fresh, config=config, seed=5,
+            )
+            assert (
+                shared_run.link_states.tobytes()
+                == fresh_run.link_states.tobytes()
+            )
+            assert (
+                shared_run.observations.path_states.tobytes()
+                == fresh_run.observations.path_states.tobytes()
+            )
+            assert (
+                scenario.truth_model.link_marginals().tobytes()
+                == fresh.link_marginals().tobytes()
+            )

@@ -98,3 +98,40 @@ class TestMakeClusterModel:
         )
         assert math.isclose(model.marginal(1), 0.3)
         assert math.isclose(model.marginal(2), 0.1)
+
+
+class TestNeverCongestingModel:
+    def test_one_shared_model_per_set(self):
+        group = frozenset({4, 7, 9})
+        first = make_cluster_model(
+            group, frozenset(), cause_probability=0.0, background=0.0
+        )
+        # The knobs are ignored, and an equal set built anew finds it.
+        second = make_cluster_model(
+            frozenset([9, 7, 4]), set(), cause_probability=0.5,
+            background=0.2,
+        )
+        assert first is second
+        assert first.links == group
+        other = make_cluster_model(
+            frozenset({4, 7}), frozenset(), cause_probability=0.0,
+            background=0.0,
+        )
+        assert other is not first
+
+    def test_it_cannot_congest_but_draws_one_uniform(self):
+        group = frozenset({1, 2, 3})
+        shared = make_cluster_model(
+            group, frozenset(), cause_probability=0.0, background=0.0
+        )
+        assert not shared.can_congest
+        assert not shared.sampler.can_congest
+        assert shared.sampler.uniform_width == 1
+        assert all(shared.marginal(k) == 0.0 for k in group)
+        rng, reference = as_generator(3), as_generator(3)
+        assert not shared.sample_matrix(rng, 50).any()
+        reference.random(50)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_an_active_set_can_congest(self, model):
+        assert model.can_congest and model.sampler.can_congest

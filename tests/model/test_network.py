@@ -150,7 +150,7 @@ class TestBatchedDraws:
         models = []
         for index, group in enumerate(correlation.sets):
             links = sorted(group)
-            kind = index % 6
+            kind = index % 8
             if kind == 0:
                 models.append(
                     IndependentModel({k: 0.05 + 0.01 * (k % 7) for k in links})
@@ -179,9 +179,52 @@ class TestBatchedDraws:
                         {("r", r): 0.1 for r in range(3)},
                     )
                 )
-            else:
+            elif kind == 5:
                 models.append(ActiveSubsetModel(
                     group, IndependentModel({links[-1]: 0.3}),
+                ))
+            elif kind == 6:
+                # Never congests through its own sampler.
+                models.append(IndependentModel({k: 0.0 for k in links}))
+            else:
+                models.append(
+                    CommonCauseModel(group, cause_probability=0.0,
+                                     background=0.0)
+                )
+        return NetworkCongestionModel(correlation, models)
+
+    @staticmethod
+    def layout_model(pattern: str):
+        """Set ``i`` never congests when ``pattern[i % len(pattern)]``
+        is ``q``, draws without a uniform width when ``s``, and is an
+        active cluster otherwise: runs of never-congesting sets at the
+        start, the end, between active sets and around a sampler
+        without a uniform width."""
+        from repro.eval.figures import default_instance
+        from repro.model.cluster import make_cluster_model
+        from repro.model.shared_resource import SharedResourceModel
+
+        correlation = default_instance("brite", scale="small").correlation
+        models = []
+        for index, group in enumerate(correlation.sets):
+            links = sorted(group)
+            kind = pattern[index % len(pattern)]
+            if kind == "q":
+                models.append(make_cluster_model(
+                    group, frozenset(), cause_probability=0.0,
+                    background=0.0,
+                ))
+            elif kind == "s":
+                models.append(
+                    SharedResourceModel(
+                        {k: {("r", k % 2)} for k in links},
+                        {("r", r): 0.2 for r in range(2)},
+                    )
+                )
+            else:
+                models.append(make_cluster_model(
+                    group, frozenset(links[:2]), cause_probability=0.3,
+                    background=0.1,
                 ))
         return NetworkCongestionModel(correlation, models)
 
@@ -202,6 +245,44 @@ class TestBatchedDraws:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         if n_snapshots == 512:
             assert 0 < states.sum() < states.size
+
+    @pytest.mark.parametrize(
+        "pattern", ["q", "qqa", "aqq", "qsq", "sqqqa", "aqqsqq"]
+    )
+    @pytest.mark.parametrize("n_snapshots", [1, 60])
+    def test_shared_never_congesting_sets_equal_sample_matrix(
+        self, pattern, n_snapshots
+    ):
+        """States and generator state equal each set's own
+        ``sample_matrix`` in turn, shared never-congesting models
+        included."""
+        model = self.layout_model(pattern)
+        quiet = [m for m in model.models if not m.sampler.can_congest]
+        assert quiet
+        rng = np.random.default_rng(99)
+        reference_rng = np.random.default_rng(99)
+        states = model.sample_states(rng, n_snapshots)
+        reference = np.zeros((n_snapshots, model.n_links), dtype=bool)
+        for set_model in model.models:
+            reference[:, set_model.member_order] = set_model.sample_matrix(
+                reference_rng, n_snapshots
+            )
+        assert states.tobytes() == reference.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        # The same scenario built again reuses every never-congesting
+        # model object.
+        again = self.layout_model(pattern)
+        assert [m for m in again.models if m in quiet] == [
+            m for m in again.models if not m.sampler.can_congest
+        ]
+
+    def test_link_marginals_skip_only_zeros(self):
+        model = self.mixed_model()
+        reference = np.zeros(model.n_links)
+        for set_model in model.models:
+            for link_id in set_model.links:
+                reference[link_id] = set_model.marginal(link_id)
+        assert model.link_marginals().tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("n_snapshots", [1, 37])
     def test_sample_matrix_equals_per_set_draws(self, n_snapshots):

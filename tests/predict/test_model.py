@@ -8,7 +8,9 @@ import pytest
 from repro.eval.cache import TrialCache
 from repro.predict.demand import DemandMatrix
 from repro.predict.model import (
+    EXACT_STATE_BUDGET,
     CongestionModel,
+    exact_state_bound,
     exceedance_exact,
     exceedance_naive,
     exceedance_sample,
@@ -281,6 +283,102 @@ def serve_mixed_demand(seed: int = 11) -> dict:
         rate = float(rng.choice([0.6, 1.0, 1.4]))
         flows.append({"name": f"f{index}", "rate": rate, "paths": split})
     return {"flows": flows, "capacities": {"default": 4.5}}
+
+
+def distinct_rate_flows(n_flows: int) -> tuple:
+    """``n_flows`` flows of distinct rates, each crossing link 0 on one
+    of its two candidates, with the limit at half their total: the
+    exact recursion's worst case on that link."""
+    rates = np.array([1.0 + 0.137 * index for index in range(n_flows)])
+    incidence = np.array([[1.0, 0.0], [0.0, 1.0]])
+    limits = np.array([rates.sum() / 2.0, 1e9])
+    return rates, [incidence] * n_flows, limits
+
+
+class TestExactStateBudget:
+    """The exact recursion is budgeted by its memo states per link."""
+
+    @staticmethod
+    def memo_states(rates, incidences, limits) -> int:
+        """The recursion's largest memo on any link, counted by running
+        it: the quantity :func:`exact_state_bound` bounds."""
+        from repro.predict import model as model_module
+
+        sizes = []
+        original = model_module._link_exceed
+
+        def counting(rates, probs, headroom, memo):
+            value = original(rates, probs, headroom, memo)
+            sizes.append(len(memo))
+            return value
+
+        model_module._link_exceed = counting
+        try:
+            exceedance_exact(rates, incidences, limits)
+        finally:
+            model_module._link_exceed = original
+        return max(sizes, default=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_covers_the_memo(self, seed):
+        rng = np.random.default_rng(seed)
+        rates, incidences, limits = random_flow_set(
+            rng, n_links=6, max_flows=9, max_candidates=3
+        )
+        # Repeat some rates, so equal partial loads collapse.
+        rates = np.round(rates * 2.0) / 2.0
+        membership = np.stack([inc.mean(axis=0) for inc in incidences])
+        assert self.memo_states(rates, incidences, limits) <= (
+            exact_state_bound(rates, membership)
+        )
+
+    def test_bound_of_distinct_rates(self):
+        rates, incidences, limits = distinct_rate_flows(10)
+        membership = np.stack([inc.mean(axis=0) for inc in incidences])
+        assert exact_state_bound(rates, membership) == 10 * 2**10
+        # Certain or absent flows and zero rates add no state.
+        assert exact_state_bound(rates * 0.0, membership) == 0
+        assert exact_state_bound(rates, np.round(membership)) == 0
+        # The bound is capped just past the budget.
+        rates, incidences, _ = distinct_rate_flows(40)
+        membership = np.stack([inc.mean(axis=0) for inc in incidences])
+        assert exact_state_bound(rates, membership) == EXACT_STATE_BUDGET + 1
+
+    def test_sixteen_distinct_rates_go_monte_carlo_quickly(self, instance):
+        import time
+
+        rates, incidences, limits = distinct_rate_flows(16)
+        demand = DemandMatrix.from_payload({
+            "flows": [
+                {"name": f"f{index}", "rate": float(rate), "paths": [0, 1]}
+                for index, rate in enumerate(rates)
+            ],
+            "capacities": {"default": float(rates.sum() / 2.0 / 0.85)},
+        })
+        resolved = demand.resolve(instance.topology)
+        model = CongestionModel(mc_samples=2000)
+        assert model.method(resolved, resolved.rates) == "monte-carlo"
+        started = time.perf_counter()
+        prediction = model.predict(resolved, seed=3)
+        assert time.perf_counter() - started < 1.0
+        assert prediction.method == "monte-carlo"
+        # Under the flow-count rule alone it would have run exact.
+        assert resolved.n_flows <= model.exact_max_flows
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_service_benchmark_demands_stay_exact(self, seed):
+        from repro.serve.registry import instance_from_payload
+
+        topology = instance_from_payload({"generator": {
+            "kind": "brite", "n_ases": 40, "routers_per_as": 5,
+            "n_paths": 120, "seed": 7,
+        }}).topology
+        resolved = DemandMatrix.from_payload(
+            serve_mixed_demand(seed)
+        ).resolve(topology)
+        bound = exact_state_bound(resolved.rates, resolved.membership())
+        assert bound <= 750
+        assert CongestionModel().method(resolved, resolved.rates) == "exact"
 
 
 class TestForecastKey:

@@ -539,3 +539,40 @@ def test_refused_polish_answers_the_raw_cold_vertex(monkeypatch):
     assert models[1] is models[0] and models[2] is not models[0]
     assert warm.highs is models[2]
     assert program.solve(values).tobytes() == split.tobytes()
+
+
+def test_direct_superlu_polish_equals_splu(
+    brite_template_system, stream_window_values, monkeypatch
+):
+    """The polish hands SuperLU its CSC arrays directly; with
+    ``csc_matrix`` + ``splu`` (the reference form, kept here) in its
+    place every answer is the same bytes."""
+    import repro.core.solvers as solvers
+    from scipy.sparse.linalg import splu
+
+    program, right_hand_sides = brite_template_system
+    windows = right_hand_sides + stream_window_values
+    direct = [program.solve(values, warm=WarmStart()) for values in windows]
+
+    calls = []
+
+    class SpluReference:
+        @staticmethod
+        def gstrf(n, nnz, data, indices, indptr, **_):
+            calls.append(n)
+            normal = sparse.csc_matrix((data, indices, indptr), shape=(n, n))
+            assert normal.nnz == nnz
+            return splu(
+                normal,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+
+    monkeypatch.setattr(solvers, "_superlu", SpluReference)
+    for values, answer in zip(windows, direct):
+        warm = WarmStart()
+        reference = program.solve(values, warm=warm)
+        assert warm.fallbacks == 0
+        assert reference.tobytes() == answer.tobytes()
+    assert len(calls) == len(windows)

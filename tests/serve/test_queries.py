@@ -187,6 +187,56 @@ class TestValidateQueryCells:
         validate_query(instance, dict(query, exact_max_flows=3))
 
 
+class TestValidateQueryTasks:
+    """``validate_query`` returns the query's tasks, parsed once."""
+
+    def test_tasks_equal_query_tasks(self, instance_1a):
+        for query in (
+            {"seed": 5, "n_snapshots": 40},
+            {"kind": "identifiability"},
+            {"kind": "whatif", "seed": 2, "demand": {
+                "flows": [{"name": "f", "rate": 1, "paths": [0, 1]}],
+            }},
+        ):
+            validated = validate_query(instance_1a, query)
+            parsed = query_tasks(query)
+            assert len(validated) == len(parsed) == 1
+            assert trial_key("fp", validated[0]) == trial_key("fp", parsed[0])
+            assert validated[0].factory_kwargs == parsed[0].factory_kwargs
+
+    def test_duplicate_shift_names_fail_at_the_door(self, instance_1a):
+        query = {"kind": "whatif", "demand": {
+            "flows": [{"name": "f", "rate": 1, "paths": [0]}],
+        }, "shifts": [{"name": "s", "scale": 1.5}, {"name": "s"}]}
+        with pytest.raises(ValueError, match="duplicate shift"):
+            validate_query(instance_1a, query)
+
+    def test_state_budget_brings_the_monte_carlo_cell_check(self):
+        """16 distinct-rate flows on one link run Monte Carlo under the
+        default flow limit, so its sample matrix is bounded too."""
+        from repro.serve.registry import instance_from_payload
+
+        instance = instance_from_payload({"generator": {
+            "kind": "brite", "n_ases": 40, "routers_per_as": 5,
+            "n_paths": 120, "seed": 7,
+        }})
+        flows = [
+            {"name": f"f{i}", "rate": 1.0 + 0.137 * i, "paths": [0, 1]}
+            for i in range(16)
+        ]
+        query = {
+            "kind": "whatif",
+            "demand": {"flows": flows},
+            "mc_samples": MAX_MC_SAMPLES,
+        }
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            validate_query(instance, query)
+        # Equal rates keep the recursion small: exact, no samples drawn.
+        for flow in flows:
+            flow["rate"] = 1.0
+        validate_query(instance, query)
+
+
 class TestQueryTasks:
     @staticmethod
     def _key(task) -> str:

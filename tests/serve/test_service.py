@@ -438,6 +438,56 @@ class TestQueryLimits:
             assert served[name].tobytes() == vector.tobytes(), name
 
 
+class TestConnectionCap:
+    @staticmethod
+    def wait_for(predicate, timeout: float = 30.0) -> None:
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "timed out"
+            time.sleep(0.01)
+
+    def test_one_past_the_cap_gets_one_json_503(self, service_harness):
+        """``MAX_CONNECTIONS + 1`` raw connections: the last is refused
+        with one JSON 503 and closed; the first still answers a query."""
+        harness = service_harness()
+        with harness:
+            live = harness.service._connections
+            with harness.client() as client:
+                fingerprint = client.load_topology(generator=GENERATOR)
+            self.wait_for(lambda: not live)
+            address = ("127.0.0.1", harness.service.port)
+            held = [
+                socket.create_connection(address, timeout=30)
+                for _ in range(server.MAX_CONNECTIONS)
+            ]
+            try:
+                self.wait_for(lambda: len(live) == server.MAX_CONNECTIONS)
+                head, body = raw_exchange(
+                    harness.service.port,
+                    b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n",
+                )
+                assert head.startswith(b"HTTP/1.1 503")
+                assert b"Connection: close" in head
+                assert str(server.MAX_CONNECTIONS) in json.loads(body)["error"]
+
+                payload = json.dumps(QUERY).encode()
+                first = held[0]
+                first.sendall(
+                    f"POST /topologies/{fingerprint}/localize HTTP/1.1\r\n"
+                    f"Host: x\r\nContent-Length: {len(payload)}\r\n"
+                    "Connection: close\r\n\r\n".encode() + payload
+                )
+                reply = b""
+                while chunk := first.recv(65536):
+                    reply += chunk
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200")
+                assert json.loads(body)["fingerprint"] == fingerprint
+            finally:
+                for connection in held:
+                    connection.close()
+
+
 class TestStoreLifecycle:
     def test_store_full_409_then_evict_frees_a_slot(self, service_harness):
         with service_harness(max_topologies=1) as harness:
