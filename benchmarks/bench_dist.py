@@ -20,15 +20,10 @@ Runs the figure-3 sweep several ways over the same instance and seed:
   CI too — the latency injection makes the gain reproducible on any
   machine).
 
-* **remote-socket** — the headline fleet shape swept with the
-  shared-memory data plane disabled (``transport="socket"``), so both
-  data planes land in the bit-identity check.  The wire *speed* gates
-  are microbenches, where the wire work is not buried under compute:
-  ``--require-wire-gain [RATIO]`` (default 1.3) gates the chunk codec
-  against a ``pickle`` baseline of the same chunk-heavy task list, and
-  ``--require-shm-gain [RATIO]`` (default 1.1) gates shared-memory slot
-  delivery against loopback-TCP frames at result-buffer payload sizes,
-  receiver in a separate process both ways;
+* **wire codec** — a microbench, where the wire work is not buried
+  under compute: ``--require-wire-gain [RATIO]`` (default 1.3) gates
+  the chunk codec against a ``pickle`` baseline of the same chunk-heavy
+  task list;
 
 * **remote-chaos** — the fault-matrix leg: two fresh workers whose
   ``REPRO_CHAOS`` environment arms one to corrupt a result frame and
@@ -56,9 +51,7 @@ the chunks completed before the death) and the **orphan check**: a
 separate coordinator process autolaunches a fleet, is SIGKILLed
 mid-sweep — so no teardown code ever runs — and every autolaunched
 worker must still exit (the stdin lifeline) instead of living on as an
-orphan, and every ``/dev/shm`` ring segment the coordinator created
-for its shared-memory sessions must disappear (the creating process's
-``resource_tracker`` survives the SIGKILL and unlinks them).
+orphan.
 
 Kill modes: the headline run SIGKILLs the worker process as soon as the
 shared store shows the sweep is underway; ``--quick`` (the CI smoke)
@@ -70,11 +63,10 @@ Usage::
 
     python benchmarks/bench_dist.py --scale medium \
         --require-identical --require-survival \
-        --require-capacity-gain --require-wire-gain \
-        --require-shm-gain                           # headline
+        --require-capacity-gain --require-wire-gain  # headline
     python benchmarks/bench_dist.py --quick \
         --require-identical --require-survival \
-        --require-wire-gain --require-shm-gain       # CI smoke
+        --require-wire-gain                          # CI smoke
     python benchmarks/bench_dist.py --quick \
         --require-identical --require-chaos          # CI chaos smoke
 
@@ -358,154 +350,6 @@ def _check_wire_codec(seed: int, n_tasks: int = 400, rounds: int = 9):
     }
 
 
-def _run_shm_transfer_child(port: int) -> int:
-    """Child mode: the receiving end of the shm-vs-socket microbench.
-
-    Consumes frames the parent delivers either as loopback-TCP payloads
-    or as shared-memory ring slots (control frames on the same TCP
-    connection, exactly the session's split), copying every payload out
-    once — the same single copy either data plane hands the engine.
-    """
-    import json
-    import socket
-
-    from repro.eval.dist.protocol import disable_nagle
-    from repro.eval.dist.shm import attach_ring
-
-    conn = socket.create_connection(("127.0.0.1", port), timeout=30)
-    disable_nagle(conn)  # as on real session sockets
-    io = conn.makefile("rwb")
-    ring = None
-    try:
-        while True:
-            line = io.readline()
-            if not line:
-                return 0
-            msg = json.loads(line)
-            if msg["op"] == "attach":
-                ring = attach_ring(
-                    msg["name"], msg["slots"], msg["slot_size"]
-                )
-            elif msg["op"] == "socket-frames":
-                for _ in range(msg["frames"]):
-                    data = io.read(msg["frame_bytes"])
-                    assert len(data) == msg["frame_bytes"]
-            elif msg["op"] == "shm-frame":
-                view = ring.read(msg["slot"], msg["size"])
-                data = bytes(view)  # the one consumer copy
-                view.release()
-                assert len(data) == msg["size"]
-                io.write(b'{"ack": %d}\n' % msg["slot"])
-                io.flush()
-            if msg.get("done"):
-                io.write(b'{"done": true}\n')
-                io.flush()
-    finally:
-        if ring is not None:
-            ring.close()
-        io.close()
-        conn.close()
-
-
-def _check_shm_transfer(*, frame_bytes: int, frames: int, rounds: int = 3):
-    """Shared-memory slot delivery vs loopback-TCP frames, cross-process.
-
-    Moves the same payload train to a child process both ways: length-
-    known frames over a loopback TCP connection, then ring slots (write
-    into a 4-slot shm ring, control frame over the same TCP connection,
-    slot freed on the child's ack — the session's exact accounting).
-    Legs alternate and keep their best time.  Frame size is chosen at
-    result-buffer scale, where the data plane dominates the control
-    chatter; at sub-100KB chunk payloads the acks would drown the
-    memcpy savings, which is why sessions keep small payloads inline.
-    """
-    import json
-    import socket
-    from collections import deque
-
-    from repro.eval.dist.protocol import disable_nagle
-    from repro.eval.dist.shm import create_ring
-
-    payload = os.urandom(frame_bytes)
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(30)
-    port = listener.getsockname()[1]
-    child = subprocess.Popen(
-        [sys.executable, __file__, "--shm-transfer-child", str(port)],
-        cwd=REPO_ROOT,
-        env=worker_environment(),
-    )
-    conn = None
-    ring = None
-    try:
-        conn, _ = listener.accept()
-        disable_nagle(conn)  # as on real session sockets
-        io = conn.makefile("rwb")
-
-        def _await_done():
-            while True:
-                reply = json.loads(io.readline())
-                if reply.get("done"):
-                    return
-
-        def _socket_leg() -> float:
-            t0 = time.perf_counter()
-            for i in range(frames):
-                head = {"op": "socket-frames", "frames": 1,
-                        "frame_bytes": frame_bytes}
-                if i == frames - 1:
-                    head["done"] = True
-                io.write(json.dumps(head).encode() + b"\n")
-                io.write(payload)
-            io.flush()
-            _await_done()
-            return time.perf_counter() - t0
-
-        def _shm_leg() -> float:
-            free = deque(range(ring.n_slots))
-            t0 = time.perf_counter()
-            for i in range(frames):
-                while not free:
-                    free.append(json.loads(io.readline())["ack"])
-                slot = free.popleft()
-                ring.write(slot, payload)
-                head = {"op": "shm-frame", "slot": slot,
-                        "size": frame_bytes}
-                if i == frames - 1:
-                    head["done"] = True
-                io.write(json.dumps(head).encode() + b"\n")
-                io.flush()
-            _await_done()
-            return time.perf_counter() - t0
-
-        ring = create_ring(4, frame_bytes)
-        io.write(json.dumps({"op": "attach", **ring.describe()}).encode()
-                 + b"\n")
-        io.flush()
-        t_socket = min(_socket_leg() for _ in range(rounds))
-        t_shm = min(_shm_leg() for _ in range(rounds))
-        io.close()
-    finally:
-        if conn is not None:
-            conn.close()
-        listener.close()
-        if ring is not None:
-            ring.close()
-        if child.poll() is None:
-            try:
-                child.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                child.kill()
-                child.wait()
-    return {
-        "frame_bytes": frame_bytes,
-        "frames": frames,
-        "socket_s": t_socket,
-        "shm_s": t_shm,
-        "shm_speedup": t_socket / t_shm if t_shm > 0 else float("inf"),
-    }
-
-
 def _run_orphan_child(args) -> int:
     """Child mode: autolaunch a fleet, announce it, sweep until killed.
 
@@ -526,20 +370,10 @@ def _run_orphan_child(args) -> int:
         n_trials=4,
         seed=args.seed,
         options=AlgorithmOptions(),
-        # Pin the shm data plane so the SIGKILL lands while ring
-        # segments exist: the orphan check also proves they vanish.
-        executor=RemoteExecutor(specs, transport="shm"),
+        executor=RemoteExecutor(specs),
     )
     launcher.shutdown()  # only reached if the parent failed to kill us
     return 0
-
-
-def _shm_segments() -> list[str]:
-    from repro.eval.dist.shm import SHM_PREFIX
-
-    return sorted(
-        p.name for p in pathlib.Path("/dev/shm").glob(f"{SHM_PREFIX}*")
-    )
 
 
 def _check_orphan_teardown() -> tuple[bool, str]:
@@ -591,27 +425,9 @@ def _check_orphan_teardown() -> tuple[bool, str]:
                     "SIGKILLed coordinator"
                 )
             time.sleep(0.05)
-    # The coordinator created shm rings for its sessions (the child
-    # pins transport="shm"); its resource_tracker process survives the
-    # SIGKILL and must unlink every segment once the fleet is gone.
-    if pathlib.Path("/dev/shm").is_dir():
-        shm_deadline = time.monotonic() + 15.0
-        while _shm_segments():
-            if time.monotonic() > shm_deadline:
-                leaked = _shm_segments()
-                for name in leaked:  # do not leak what we just proved
-                    pathlib.Path("/dev/shm", name).unlink(
-                        missing_ok=True
-                    )
-                return False, (
-                    "orphan check: shm segments outlived the "
-                    f"SIGKILLed coordinator: {', '.join(leaked)}"
-                )
-            time.sleep(0.05)
     return True, (
         f"orphan check: all {len(pids)} autolaunched workers exited "
-        "after the coordinator was SIGKILLed mid-sweep, and no shm "
-        "ring segment survived it"
+        "after the coordinator was SIGKILLed mid-sweep"
     )
 
 
@@ -690,19 +506,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--require-shm-gain",
-        nargs="?",
-        const=1.1,
-        default=None,
-        type=float,
-        metavar="RATIO",
-        help=(
-            "exit nonzero unless shared-memory slot delivery beats "
-            "loopback-TCP frames by at least RATIO (default 1.1) on "
-            "the cross-process transfer microbench"
-        ),
-    )
-    parser.add_argument(
         "--require-chaos",
         action="store_true",
         help=(
@@ -717,18 +520,9 @@ def main(argv=None) -> int:
         action="store_true",
         help=argparse.SUPPRESS,  # internal: coordinator-to-be-killed
     )
-    parser.add_argument(
-        "--shm-transfer-child",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=argparse.SUPPRESS,  # internal: transfer-bench receiver
-    )
     args = parser.parse_args(argv)
     if args.orphan_child:
         return _run_orphan_child(args)
-    if args.shm_transfer_child is not None:
-        return _run_shm_transfer_child(args.shm_transfer_child)
 
     scale = "small" if args.quick else args.scale
     fractions = FRACTIONS[:2] if args.quick else FRACTIONS
@@ -776,32 +570,9 @@ def main(argv=None) -> int:
     finally:
         for worker in workers:
             worker.stop()
-    print(f"remote (2 workers, auto transport): {t_remote:7.2f} s")
+    print(f"remote (2 workers):     {t_remote:7.2f} s")
 
-    # The same fleet shape over the socket data plane, so both data
-    # planes produce figure data for the bit-identity check.  (Fresh
-    # fleets per leg: bench workers pin --max-sessions 1.)
-    def _pinned_leg(**executor_kwargs):
-        fleet = []
-        try:
-            fleet.append(_Worker())
-            fleet.append(_Worker())
-            t0 = time.perf_counter()
-            result = figure3_sweep(
-                executor=RemoteExecutor(
-                    [w.address for w in fleet], **executor_kwargs
-                ),
-                **sweep_kwargs,
-            )
-            return time.perf_counter() - t0, result
-        finally:
-            for worker in fleet:
-                worker.stop()
-
-    t_remote_socket, remote_socket = _pinned_leg(transport="socket")
-    print(f"remote, socket-only:       {t_remote_socket:7.2f} s")
-
-    # The wire speed gates, isolated from sweep compute (which buries
+    # The wire speed gate, isolated from sweep compute (which buries
     # wire costs at any realistic snapshot count).
     wire = _check_wire_codec(args.seed)
     print(
@@ -811,20 +582,6 @@ def main(argv=None) -> int:
         f"{wire['decode_speedup']:.2f}x, payload "
         f"{wire['size_ratio']:.2f}x smaller)"
     )
-    shm_bench = None
-    if pathlib.Path("/dev/shm").is_dir():
-        shm_frame_bytes = (1 << 20) if args.quick else (2 << 20)
-        shm_frames = 32 if args.quick else 64
-        shm_bench = _check_shm_transfer(
-            frame_bytes=shm_frame_bytes, frames=shm_frames
-        )
-        print(
-            f"shm slot delivery speedup over loopback TCP "
-            f"({shm_frames} × {shm_frame_bytes >> 20} MiB frames): "
-            f"{shm_bench['shm_speedup']:.2f}x"
-        )
-    else:
-        print("shm transfer check skipped: /dev/shm unavailable")
 
     failures = []
     kill_landed = False
@@ -849,12 +606,8 @@ def main(argv=None) -> int:
                 watcher.start()
             t0 = time.perf_counter()
             survived = figure3_sweep(
-                # Pinned to shm: the kill leg must prove chunk requeue
-                # survives losing a worker mid-sweep on the
-                # shared-memory data plane too, not just on sockets.
                 executor=RemoteExecutor(
-                    [survivor.address, doomed.address],
-                    transport="shm",
+                    [survivor.address, doomed.address]
                 ),
                 **sweep_kwargs,
             )
@@ -891,7 +644,6 @@ def main(argv=None) -> int:
         chaos_workers.append(_Worker(chaos="worker-sigstop:chunk=1"))
         chaos_executor = RemoteExecutor(
             [w.address for w in chaos_workers],
-            transport="shm",
             heartbeat_interval=2.0,
             connect_attempts=4,
             on_fleet_loss="serial",
@@ -1023,7 +775,6 @@ def main(argv=None) -> int:
     hetero_reference = _points_as_dicts(hetero_serial)
     for label, result, expected in (
         ("remote", remote, reference),
-        ("remote-socket", remote_socket, reference),
         ("remote-kill", survived, reference),
         ("remote-chaos", chaos_result, reference),
         ("elastic-uniform", uniform, hetero_reference),
@@ -1037,9 +788,8 @@ def main(argv=None) -> int:
             )
     if not failures:
         print(
-            "bit-identical: serial == remote == "
-            "remote-socket == remote-kill == remote-chaos == "
-            "plain-autolaunch == secure-autolaunch and "
+            "bit-identical: serial == remote == remote-kill == "
+            "remote-chaos == plain-autolaunch == secure-autolaunch and "
             "serial == elastic-uniform == elastic-aware"
         )
 
@@ -1097,17 +847,6 @@ def main(argv=None) -> int:
             f"{wire['codec_speedup']:.2f}x "
             f"(required {args.require_wire_gain:.2f}x)"
         )
-    if args.require_shm_gain is not None:
-        if shm_bench is None:
-            failures.append(
-                "shm transfer gate requested but /dev/shm is unavailable"
-            )
-        elif shm_bench["shm_speedup"] < args.require_shm_gain:
-            failures.append(
-                f"shm slot delivery beat loopback TCP by only "
-                f"{shm_bench['shm_speedup']:.2f}x "
-                f"(required {args.require_shm_gain:.2f}x)"
-            )
 
     speedup = t_serial / t_remote if t_remote > 0 else float("inf")
     print(f"remote speedup over serial: {speedup:.2f}x")
@@ -1136,15 +875,10 @@ def main(argv=None) -> int:
             "wire_bench_tasks": wire["n_tasks"],
             "wire_pickle_bytes": wire["pickle_bytes"],
             "wire_codec_bytes": wire["codec_bytes"],
-            "shm_frame_bytes": (
-                shm_bench["frame_bytes"] if shm_bench else None
-            ),
-            "shm_frames": shm_bench["frames"] if shm_bench else None,
         },
         timings_s={
             "serial": t_serial,
             "remote": t_remote,
-            "remote_socket": t_remote_socket,
             "remote_kill": t_kill,
             "remote_chaos": t_chaos,
             "elastic_uniform": t_uniform,
@@ -1158,9 +892,6 @@ def main(argv=None) -> int:
             "wire_encode_speedup": wire["encode_speedup"],
             "wire_decode_speedup": wire["decode_speedup"],
             "wire_size_ratio": wire["size_ratio"],
-            "shm_transfer_speedup": (
-                shm_bench["shm_speedup"] if shm_bench else 0.0
-            ),
             "capacity_gain": capacity_gain,
             "secure_overhead": secure_overhead,
             "identical": float(not failures),

@@ -78,9 +78,8 @@ coordinator requeues them on the survivors).
 
 The wire: coordinators and workers speak one protocol version (JSON
 frame headers and a schema'd binary codec for the payloads) and refuse
-peers of any other version with one clean error; same-host sessions
-move payloads through a shared-memory data plane (``--transport``
-selects it).
+peers of any other version with one clean error; every session, local
+or remote, carries its payloads on its own socket.
 
 Fault tolerance (remote backend): connects retry with jittered
 exponential backoff (``--connect-attempts``); hung-but-connected
@@ -90,8 +89,8 @@ per-chunk budget (``--chunk-deadline``) and their chunks requeued; and
 worker is gone.  ``--journal PATH`` appends each settled chunk to a
 crash-safe journal so a coordinator killed mid-sweep completes with
 ``--resume`` without recomputing settled work; ``--dist-stats`` prints
-the sweep's fault/transport counters.  None of this changes figure
-data — every recovery path is bit-identical at a fixed seed.
+the sweep's fault counters.  None of this changes figure data — every
+recovery path is bit-identical at a fixed seed.
 
 ``repro-tomography worker`` runs one worker process: it listens for a
 coordinator, receives the instance/config once per sweep, and serves
@@ -900,18 +899,6 @@ def _workers_argument(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--transport",
-        choices=("auto", "shm", "socket"),
-        default="auto",
-        help=(
-            "remote backend only: session data plane — 'auto' "
-            "(default) uses shared memory for same-host workers and "
-            "the socket elsewhere, 'shm' offers shared memory to every "
-            "worker, 'socket' never does; results are bit-identical "
-            "either way"
-        ),
-    )
-    parser.add_argument(
         "--launch",
         choices=("local", "ssh"),
         default=None,
@@ -1013,10 +1000,9 @@ def _workers_argument(parser: argparse.ArgumentParser) -> None:
         "--dist-stats",
         action="store_true",
         help=(
-            "remote backend only: print the sweep's fault/transport "
-            "counters (sessions, retries, losses, heartbeat/deadline "
-            "timeouts, requeued chunks, shm inline fallbacks) after "
-            "the run"
+            "remote backend only: print the sweep's fault counters "
+            "(sessions, retries, losses, heartbeat/deadline timeouts, "
+            "requeued chunks, chunks finished in-process) after the run"
         ),
     )
     _add_security_arguments(parser, role="coordinator")
@@ -1318,7 +1304,6 @@ def _make_executor(args):
             straggler_timeout=args.straggler_timeout,
             secret=secret,
             ssl_context=ssl_context,
-            transport=getattr(args, "transport", "auto"),
             **_robustness_kwargs(args),
         )
     if tls_ca is not None and tls_cert is None:
@@ -1402,7 +1387,6 @@ def _make_executor(args):
         straggler_timeout=args.straggler_timeout,
         secret=secret,
         ssl_context=ssl_context,
-        transport=getattr(args, "transport", "auto"),
         **_robustness_kwargs(args),
     )
 

@@ -32,10 +32,9 @@ The builder is batch-first: candidate pairs are enumerated with array
 operations on the sparse routing matrix, eligibility is decided by
 :meth:`~repro.core.correlation.CorrelationStructure.pairs_correlation_free`
 in one shot, measured values are fetched through the provider's vectorised
-``log_good_all`` / ``log_good_pairs`` APIs when available (falling back to
-the scalar protocol otherwise), and the accepted system is assembled as
-sparse COO triplets — the dense ``|rows| × |E|`` matrix is only
-materialised on explicit request.
+``log_good_all`` / ``log_good_pairs`` APIs, and the accepted system is
+assembled as sparse COO triplets — the dense ``|rows| × |E|`` matrix is
+only materialised on explicit request.
 """
 
 from __future__ import annotations
@@ -47,10 +46,9 @@ from scipy import sparse
 
 from repro.core.correlation import CorrelationStructure
 from repro.core.interfaces import PathGoodProvider, batch_log_good_all
-from repro.core.prepared import (  # noqa: F401  (re-exported for compat)
+from repro.core.prepared import (
     PreparedRegistry,
     PreparedTopology,
-    _RankTracker,
     _row_vector,
     get_prepared,
 )
@@ -144,33 +142,22 @@ def _single_values(
     path_ids: list[int],
     n_paths: int,
 ) -> np.ndarray:
-    """``y_i`` for the eligible paths, batch when the provider allows
-    (zeros without a provider)."""
+    """``y_i`` for the eligible paths (zeros without a provider)."""
     if measurements is None:
         return np.zeros(len(path_ids), dtype=np.float64)
     all_values = batch_log_good_all(measurements, n_paths)
-    if all_values is not None:
-        return all_values[np.asarray(path_ids, dtype=np.int64)]
-    return np.array(
-        [measurements.log_good(path_id) for path_id in path_ids],
-        dtype=np.float64,
-    )
+    return all_values[np.asarray(path_ids, dtype=np.int64)]
 
 
 def _pair_values(
     measurements: PathGoodProvider | None,
     pairs: np.ndarray,
-) -> np.ndarray | None:
-    """``y_ij`` for candidate pairs in one batch call, or ``None`` when
-    the provider only speaks the scalar protocol (values are then fetched
-    lazily, only for accepted rows); zeros without a provider."""
-    if measurements is None:
+) -> np.ndarray:
+    """``y_ij`` for candidate pairs in one batch call (zeros without a
+    provider or without pairs)."""
+    if measurements is None or not pairs.size:
         return np.zeros(pairs.shape[0], dtype=np.float64)
-    if pairs.size and hasattr(measurements, "log_good_pairs"):
-        return np.asarray(
-            measurements.log_good_pairs(pairs), dtype=np.float64
-        )
-    return None
+    return np.asarray(measurements.log_good_pairs(pairs), dtype=np.float64)
 
 
 def build_equations(
@@ -284,17 +271,12 @@ def build_equations(
             row = _row_vector(link_ids, n_links)
             added = tracker.try_add(row)
             if selection == "all" or added:
-                value = (
-                    float(pair_values[index])
-                    if pair_values is not None
-                    else measurements.log_good_pair(path_a, path_b)
-                )
                 system.rows.append(
                     EquationRow(
                         kind="pair",
                         paths=(path_a, path_b),
                         link_ids=link_ids,
-                        value=value,
+                        value=float(pair_values[index]),
                     )
                 )
                 system.n_pair += 1

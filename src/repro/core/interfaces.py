@@ -26,18 +26,14 @@ import numpy as np
 __all__ = ["PathGoodProvider", "PathStateProvider", "batch_log_good_all"]
 
 
-def batch_log_good_all(measurements, n_paths: int) -> "np.ndarray | None":
-    """All ``log P(Y_i = 0)`` via the provider's batch API, if it has one.
+def batch_log_good_all(measurements, n_paths: int) -> np.ndarray:
+    """All ``log P(Y_i = 0)`` through the provider's ``log_good_all``.
 
     Batch consumers (the equation builder, the independence baseline)
-    probe for the optional vectorised ``log_good_all`` here so the
-    sniffing — and the handling of a provider returning the wrong shape
-    (always a loud ``ValueError``) — lives in exactly one place.
-    Returns ``None`` for scalar-only providers; callers then fall back
-    to the ``log_good`` protocol loop.
+    read the values here, so the handling of a provider returning the
+    wrong shape (always a loud ``ValueError``) lives in exactly one
+    place.
     """
-    if not hasattr(measurements, "log_good_all"):
-        return None
     values = np.asarray(measurements.log_good_all(), dtype=np.float64)
     if values.shape != (n_paths,):
         raise ValueError(
@@ -57,6 +53,15 @@ class PathGoodProvider(Protocol):
 
     def log_good_pair(self, path_a: int, path_b: int) -> float:
         """``log P(Y_Pi = 0, Y_Pj = 0)`` — the paper's ``y_ij``."""
+        ...
+
+    def log_good_all(self) -> np.ndarray:
+        """Every path's ``y_i``, indexed by path id — what the
+        inference algorithms read."""
+        ...
+
+    def log_good_pairs(self, pairs) -> np.ndarray:
+        """``y_ij`` for each row ``(i, j)`` of an ``(m, 2)`` array."""
         ...
 
 

@@ -67,11 +67,6 @@ def infer_congestion_single_path(
     """
     matrix = topology.routing_matrix()
     values = batch_log_good_all(measurements, topology.n_paths)
-    if values is None:
-        values = np.array(
-            [measurements.log_good(path.id) for path in topology.paths],
-            dtype=np.float64,
-        )
     if solver == "min_norm":
         # Min-norm least squares through the topology's cached SVD:
         # ``x = V Σ⁺ Uᵀ y``.  One factorisation serves every measurement

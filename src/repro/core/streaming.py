@@ -137,12 +137,7 @@ class EquationTemplate:
             measurements, self.single_paths.tolist(), self.topology.n_paths
         )
         pairs = _pair_values(measurements, self.pair_array)
-        if pairs is None:
-            pairs = [
-                measurements.log_good_pair(int(a), int(b))
-                for a, b in self.pair_array
-            ]
-        return np.concatenate([singles, np.asarray(pairs, dtype=np.float64)])
+        return np.concatenate([singles, pairs])
 
     def infer(
         self,

@@ -75,15 +75,6 @@ from repro.eval.dist.protocol import (
     recv_json_message,
     send_json_message,
 )
-from repro.eval.dist.shm import (
-    CRC_LAYOUT,
-    SHM_PREFIX,
-    ShmError,
-    ShmRing,
-    attach_ring,
-    create_ring,
-    host_is_loopback,
-)
 from repro.eval.dist.worker import WorkerServer
 
 __all__ = [
@@ -128,13 +119,6 @@ __all__ = [
     "decode_context",
     "encode_tasks",
     "decode_tasks",
-    "ShmRing",
-    "ShmError",
-    "SHM_PREFIX",
-    "CRC_LAYOUT",
-    "create_ring",
-    "attach_ring",
-    "host_is_loopback",
     "client_handshake",
     "server_handshake",
     "resolve_secret",

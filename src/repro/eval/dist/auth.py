@@ -42,7 +42,7 @@ Failure behaviour is fail-closed and symmetric:
 * wrong secret → ``REJECT`` after the PROVE frame; the reason string
   never says *which* side of the MAC mismatched.
 
-Scope: the handshake authenticates *session establishment*.  Frames
+Scope: the handshake authenticates *session setup*.  Frames
 after it carry no per-frame MAC, so the secret alone defeats
 unsolicited connections (scanners, misconfigured peers) but not an
 attacker who can inject into an established TCP stream — pair it with

@@ -14,11 +14,9 @@ request/response session:
   names the field;
 * the (instance, config, options) triple is shipped **once** per worker
   session, never per chunk, as a canonical-JSON ``context`` frame;
-* sessions with a same-host worker (loopback endpoint, or a
-  ``LocalLauncher`` fleet) can further move chunk and result payloads
-  through shared-memory rings (:mod:`repro.eval.dist.shm`) — frames
-  then carry ``slot``/``size`` references while the bytes skip the
-  socket entirely (``transport=`` selects; ``"auto"`` detects);
+* every chunk and result payload rides its session's socket, right
+  behind the frame header that describes it — local, remote, SSH and
+  TLS sessions all share this one data plane;
 * workers advertise a *capacity* (parallel chunk slots, CPU count by
   default) in their ``ready`` frame and the session thread keeps up to
   that many chunks in flight, so a capacity-2 host computes two chunks
@@ -93,11 +91,6 @@ from repro.eval.dist.protocol import (
     recv_json_message,
     send_json_message,
 )
-from repro.eval.dist.shm import (
-    ShmError,
-    create_ring,
-    host_is_loopback,
-)
 from repro.eval.parallel import (
     ChunkExecutionError,
     TaskExecutor,
@@ -144,10 +137,9 @@ class RemoteTaskError(RuntimeError):
 class WorkerUnresponsiveError(RuntimeError):
     """A heartbeat-armed worker went silent past the liveness budget.
 
-    The socket is still connected — a SIGSTOP'd process, a hung VM, or
-    a worker wedged inside a stalled shm ring all keep their TCP
-    session alive — but no frame (result, pong, anything) has arrived
-    within the silence threshold.  The session is torn down and its
+    The socket is still connected — a SIGSTOP'd process or a hung VM
+    keeps its TCP session alive — but no frame (result, pong, anything)
+    has arrived within the silence threshold.  The session is torn down and its
     chunks requeued exactly like a socket death.
     """
 
@@ -156,8 +148,8 @@ class ChunkDeadlineExceeded(RuntimeError):
     """An in-flight chunk outlived the per-chunk deadline budget.
 
     Distinct from heartbeat silence: the worker may be demonstrably
-    alive (pongs flowing) yet never able to finish — e.g. its data
-    plane is stalled while its control thread beats.  The deadline is
+    alive (pongs flowing) yet never able to finish — e.g. its compute
+    is stalled while its heartbeat thread beats.  The deadline is
     the per-session hard bound; cross-worker speculation
     (``straggler_timeout``) stays the soft one.
     """
@@ -165,26 +157,18 @@ class ChunkDeadlineExceeded(RuntimeError):
 
 @dataclasses.dataclass
 class SweepStats:
-    """Fault-tolerance and transport counters for one sweep.
+    """Fault-tolerance counters for one sweep.
 
     Collected by :meth:`RemoteExecutor.map_chunks` (one fresh object
     per sweep, exposed as ``executor.last_sweep_stats``) so silent
-    degradation — shm sessions quietly falling back to inline socket
-    payloads, retried connects, requeued chunks — is visible instead of
-    being inferred from wall-clock anomalies.  Increments take the
-    stats lock: session threads report concurrently.
+    degradation — retried connects, lost workers, requeued chunks — is
+    visible instead of being inferred from wall-clock anomalies.
+    Increments take the stats lock: session threads report
+    concurrently.
     """
 
     workers: int = 0
     sessions: int = 0
-    shm_sessions: int = 0
-    #: Result frames that arrived inline on a session that *had* shm
-    #: rings (slot exhausted or payload outgrew the slot) — the
-    #: degradation satellite counter, also broken out per session in
-    #: :attr:`inline_by_session`.
-    shm_inline_results: int = 0
-    #: Chunk payloads sent inline on an shm session (chunk ring full).
-    shm_inline_chunks: int = 0
     connect_retries: int = 0
     worker_losses: int = 0
     heartbeat_timeouts: int = 0
@@ -194,27 +178,14 @@ class SweepStats:
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-        #: ``address → inline fallback frames`` for shm sessions.
-        self.inline_by_session: dict[str, int] = {}
 
     def count(self, field: str, amount: int = 1) -> None:
         with self._lock:
             setattr(self, field, getattr(self, field) + amount)
 
-    def note_inline(self, address: str, *, kind: str = "result") -> None:
-        with self._lock:
-            if kind == "result":
-                self.shm_inline_results += 1
-            else:
-                self.shm_inline_chunks += 1
-            self.inline_by_session[address] = (
-                self.inline_by_session.get(address, 0) + 1
-            )
-
     def render(self) -> str:
         lines = [
-            f"{self.workers} workers, {self.sessions} sessions "
-            f"({self.shm_sessions} shm), "
+            f"{self.workers} workers, {self.sessions} sessions, "
             f"{self.connect_retries} connect retries, "
             f"{self.worker_losses} worker losses",
             f"{self.heartbeat_timeouts} heartbeat timeouts, "
@@ -222,17 +193,6 @@ class SweepStats:
             f"{self.requeued_chunks} chunks requeued, "
             f"{self.serial_fallback_chunks} chunks finished in-process",
         ]
-        inline = self.shm_inline_results + self.shm_inline_chunks
-        if self.shm_sessions or inline:
-            per_session = ", ".join(
-                f"{address}: {count}"
-                for address, count in sorted(self.inline_by_session.items())
-            )
-            lines.append(
-                f"shm inline fallbacks: {self.shm_inline_results} "
-                f"results, {self.shm_inline_chunks} chunks"
-                + (f" ({per_session})" if per_session else "")
-            )
         return "\n".join(lines)
 
 
@@ -673,16 +633,6 @@ class RemoteExecutor(TaskExecutor):
             (see :func:`repro.eval.dist.certs.client_context`); worker
             sockets are TLS-wrapped right after connecting, before any
             frame is exchanged.
-        transport: Data-plane selection.  ``"auto"`` (default) uses
-            shared-memory rings for workers on this host (loopback
-            endpoints, or a launcher with ``same_host=True``) and the
-            socket elsewhere; ``"shm"`` offers rings to every worker (a
-            worker that cannot attach nacks back to the socket);
-            ``"socket"`` never offers rings.
-        shm_slot_bytes: Result-ring slot size for shm sessions.  Slots
-            are virtual memory — untouched pages cost nothing — so the
-            default (16 MiB) is generous; a result that outgrows its
-            slot simply arrives inline on the socket.
         heartbeat_interval: Liveness budget (seconds): every worker
             emits unsolicited pong frames twice per interval, the
             coordinator pings once a silence exceeds one interval, and
@@ -697,7 +647,7 @@ class RemoteExecutor(TaskExecutor):
             the session (:class:`ChunkDeadlineExceeded`) and requeues
             its chunks — catching workers that are demonstrably alive
             (heartbeats flowing) yet never able to finish, e.g. a
-            stalled shm ring.  ``None`` (default) disables; set it
+            stalled computation.  ``None`` (default) disables; set it
             comfortably above the slowest expected chunk.
         connect_attempts: Total connect/handshake attempts per worker
             session (default 3) with exponential backoff + jitter
@@ -726,8 +676,6 @@ class RemoteExecutor(TaskExecutor):
         capacity_aware: bool = True,
         secret=None,
         ssl_context: ssl.SSLContext | None = None,
-        transport: str = "auto",
-        shm_slot_bytes: int = 16 << 20,
         heartbeat_interval: float | None = 15.0,
         chunk_deadline: float | None = None,
         connect_attempts: int = 3,
@@ -752,17 +700,6 @@ class RemoteExecutor(TaskExecutor):
         self.capacity_aware = capacity_aware
         self.secret = normalize_secret(secret)
         self.ssl_context = ssl_context
-        if transport not in ("auto", "shm", "socket"):
-            raise ValueError(
-                f"transport must be 'auto', 'shm' or 'socket', got "
-                f"{transport!r}"
-            )
-        if shm_slot_bytes < 1:
-            raise ValueError(
-                f"shm_slot_bytes must be positive, got {shm_slot_bytes}"
-            )
-        self.transport = transport
-        self.shm_slot_bytes = shm_slot_bytes
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError(
                 f"heartbeat_interval must be positive or None, got "
@@ -968,63 +905,6 @@ class RemoteExecutor(TaskExecutor):
             ) from failures[0][1]
 
     # -- per-worker session thread -------------------------------------
-    def _offer_shm(self, sock, spec, wire, capacity):
-        """Create and offer this session's shm rings where they apply.
-
-        Returns ``(chunk_ring, result_ring)``, or ``(None, None)``
-        whenever the session stays on socket payloads: transport policy
-        says so, the worker is not on this host (``"auto"``), the rings
-        cannot be created (e.g. ``/dev/shm`` exhausted), or the worker
-        nacks the attach (e.g. a loopback-looking endpoint that is
-        really an SSH tunnel).  Rings use the CRC32 slot layout.
-        """
-        if self.transport == "socket":
-            return None, None
-        if self.transport == "auto":
-            same_host = host_is_loopback(spec.host) or (
-                self.launcher is not None
-                and getattr(self.launcher, "same_host", False)
-            )
-            if not same_host:
-                return None, None
-        chunk_ring = result_ring = None
-        try:
-            # One spare chunk slot beyond the pipeline depth: a slot is
-            # reclaimed when its chunk is answered, so capacity + 1
-            # guarantees a free slot at every send without an ack
-            # protocol in that direction.
-            chunk_ring = create_ring(
-                capacity + 1,
-                max(1, max(len(data) for data in wire.chunks)),
-                checksum=True,
-            )
-            result_ring = create_ring(
-                capacity + 2, self.shm_slot_bytes, checksum=True
-            )
-        except ShmError:
-            if chunk_ring is not None:
-                chunk_ring.close()
-            return None, None
-        send_json_message(
-            sock,
-            {
-                "type": "shm",
-                "chunk_ring": chunk_ring.describe(),
-                "result_ring": result_ring.describe(),
-            },
-        )
-        header, _ = recv_json_message(sock)
-        if header["type"] == "shm-ok":
-            return chunk_ring, result_ring
-        chunk_ring.close()
-        result_ring.close()
-        if header["type"] != "shm-nack":
-            raise ProtocolError(
-                f"expected shm-ok or shm-nack from {spec.address}, "
-                f"got {header['type']!r}"
-            )
-        return None, None
-
     def _open_session(self, spec: HostSpec) -> _Session:
         """Connect and handshake one worker session (no chunks yet).
 
@@ -1165,8 +1045,6 @@ class RemoteExecutor(TaskExecutor):
         )
         inflight: set[int] = set()
         sent_at: dict[int, float] = {}
-        chunk_ring = None
-        result_ring = None
         try:
             # Worker ready (just parsed) → coordinator context → chunks.
             context_frame = {"type": "context"}
@@ -1175,74 +1053,8 @@ class RemoteExecutor(TaskExecutor):
                 # worker that never sees this key never beats.
                 context_frame["heartbeat"] = heartbeat
             send_json_message(sock, context_frame, wire.context)
-            chunk_ring, result_ring = self._offer_shm(
-                sock, spec, wire, capacity
-            )
-            if result_ring is not None:
-                stats.count("shm_sessions")
             with socket_lock:
                 sockets[worker_id] = sock
-
-            chunk_slots = (
-                list(range(chunk_ring.n_slots))
-                if chunk_ring is not None
-                else []
-            )
-            slot_of_chunk: dict[int, int] = {}
-            pending_acks: list[int] = []
-
-            def _send_chunk(chunk: int) -> None:
-                payload = wire.chunks[chunk]
-                frame = {"type": "chunk", "chunk": chunk}
-                if pending_acks:
-                    # Piggyback result-ring acknowledgements on the
-                    # next outbound frame; a dedicated ack frame per
-                    # result would cost a round of syscalls for
-                    # bookkeeping the worker only needs eventually.
-                    frame["ack"] = pending_acks.copy()
-                    pending_acks.clear()
-                if chunk_ring is not None and chunk_slots:
-                    slot = chunk_slots.pop()
-                    chunk_ring.write(slot, payload)
-                    slot_of_chunk[chunk] = slot
-                    frame["slot"] = slot
-                    frame["size"] = len(payload)
-                    send_json_message(sock, frame)
-                else:
-                    if chunk_ring is not None:
-                        stats.note_inline(spec.address, kind="chunk")
-                    send_json_message(sock, frame, payload)
-
-            def _release_chunk_slot(chunk: int) -> None:
-                slot = slot_of_chunk.pop(chunk, None)
-                if slot is not None:
-                    chunk_slots.append(slot)
-
-            def _resolve_result_payload(frame: dict, payload: bytes):
-                if "slot" not in frame:
-                    if result_ring is not None:
-                        # The worker fell back to inline socket bytes
-                        # for this result (slots exhausted, or the
-                        # payload outgrew its slot): correct but
-                        # slower, so count it instead of degrading
-                        # silently.
-                        stats.note_inline(spec.address, kind="result")
-                    return payload
-                if result_ring is None:
-                    raise ProtocolError(
-                        "result frame references a shm slot but the "
-                        "session has no shared-memory rings"
-                    )
-                slot = int(frame["slot"])
-                view = result_ring.read(slot, int(frame["size"]))
-                try:
-                    # Copied out before the slot is acked: the worker
-                    # may rewrite the slot the moment it gets it back.
-                    data = bytes(view)
-                finally:
-                    view.release()
-                pending_acks.append(slot)
-                return data
 
             # Liveness bookkeeping.  ``last_rx`` is any frame from the
             # worker (results, pongs); ``last_ping`` rate-limits our
@@ -1329,14 +1141,14 @@ class RemoteExecutor(TaskExecutor):
                     # requeued — permanently hanging the sweep.
                     inflight.add(chunk)
                     sent_at[chunk] = time.monotonic()
-                    _send_chunk(chunk)
+                    send_json_message(
+                        sock,
+                        {"type": "chunk", "chunk": chunk},
+                        wire.chunks[chunk],
+                    )
                 if not inflight:
-                    end = {"type": "end"}
-                    if pending_acks:
-                        end["ack"] = pending_acks.copy()
-                        pending_acks.clear()
                     try:
-                        send_json_message(sock, end)
+                        send_json_message(sock, {"type": "end"})
                     except (OSError, ProtocolError):
                         pass
                     return
@@ -1350,12 +1162,8 @@ class RemoteExecutor(TaskExecutor):
                         )
                     inflight.discard(chunk_id)
                     sent_at.pop(chunk_id, None)
-                    _release_chunk_slot(chunk_id)
                     results = _unpack_error_dicts(
-                        header["descriptor"],
-                        payload_to_buffer(
-                            _resolve_result_payload(header, payload)
-                        ),
+                        header["descriptor"], payload_to_buffer(payload)
                     )
                     if board.settle(chunk_id):
                         events.put(("result", chunk_id, results))
@@ -1368,7 +1176,6 @@ class RemoteExecutor(TaskExecutor):
                         )
                     inflight.discard(chunk_id)
                     sent_at.pop(chunk_id, None)
-                    _release_chunk_slot(chunk_id)
                     error = RemoteTaskError(
                         f"worker {spec.address} failed chunk "
                         f"{chunk_id}: {header.get('message', '')}",
@@ -1400,8 +1207,3 @@ class RemoteExecutor(TaskExecutor):
                 sock.close()
             except OSError:
                 pass
-            # This side created the rings, so this side unlinks them —
-            # on every exit path, success or torn session.
-            for ring in (chunk_ring, result_ring):
-                if ring is not None:
-                    ring.close()

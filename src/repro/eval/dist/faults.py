@@ -3,10 +3,9 @@
 Fault tolerance that is only exercised by real outages is fault
 tolerance that has never been tested.  This module injects the failure
 shapes the coordinator claims to survive — dropped/corrupted/truncated
-frames, refused connects, stalled or corrupted shared-memory rings,
-workers that die or freeze at chunk *k* — at well-defined choke points
-in :mod:`repro.eval.dist.protocol`, :mod:`repro.eval.dist.shm`, and
-:mod:`repro.eval.dist.worker`, so the chaos tests, the benchmark's
+frames, refused connects, workers that stall, die or freeze at chunk
+*k* — at well-defined choke points in :mod:`repro.eval.dist.protocol`
+and :mod:`repro.eval.dist.worker`, so the chaos tests, the benchmark's
 chaos leg, and the CI chaos-smoke job can prove the sweep stays
 **bit-identical** under every fault class.
 
@@ -35,16 +34,6 @@ Supported faults (all counters are per-plan and thread-safe):
 ``frame-delay:seconds=S[:type=T][:nth=K|:p=P]``
     Sleep ``S`` seconds before sending (latency injection; results are
     delayed, never changed).
-``shm-stall:seconds=S[:op=read|write][:nth=K]``
-    A ring read/write sleeps ``S`` seconds (a stalled data plane while
-    the control socket stays healthy — the per-chunk deadline's case).
-``shm-corrupt[:nth=K|:p=P]``
-    Flip one byte of the slot after a ring write.  Only detectable on
-    checksummed (CRC32) rings — which is the point of having them.
-``shm-enospc[:n=N]``
-    Ring creation raises as if ``/dev/shm`` were full (``N`` times;
-    default every time).  The session must fall back to socket
-    payloads cleanly.
 ``worker-kill:chunk=K``
     The worker process hard-exits when chunk ordinal ``K`` (0-based
     count of chunk frames accepted this session) arrives.  Process
@@ -72,10 +61,9 @@ context manager); the worker CLI installs from ``--chaos`` or the
 inherit from the coordinator's environment.
 
 Determinism note: every fault above is either *detected* (corrupt
-frames fail framing, corrupt shm slots fail CRC32) or *delays/kills*
-(drop, stall, refuse, kill, stop) — none can silently alter a result
-payload, so a sweep that completes under chaos completes
-bit-identically.
+frames fail framing) or *delays/kills* (drop, stall, refuse, kill,
+stop) — none can silently alter a result payload, so a sweep that
+completes under chaos completes bit-identically.
 """
 
 from __future__ import annotations
@@ -108,9 +96,7 @@ _FRAME_FAULTS = ("frame-drop", "frame-corrupt", "frame-truncate",
 #: Chunk-ordinal fault names (fire when chunk ordinal == ``chunk``).
 _CHUNK_FAULTS = ("worker-kill", "worker-sigstop", "worker-freeze",
                  "compute-stall")
-_KNOWN_FAULTS = _FRAME_FAULTS + _CHUNK_FAULTS + (
-    "connect-refuse", "shm-stall", "shm-corrupt", "shm-enospc",
-)
+_KNOWN_FAULTS = _FRAME_FAULTS + _CHUNK_FAULTS + ("connect-refuse",)
 
 #: Keys each fault accepts (anything else is a spec typo, not a knob).
 _ALLOWED_PARAMS = {
@@ -119,9 +105,6 @@ _ALLOWED_PARAMS = {
     "frame-truncate": {"type", "nth", "p"},
     "frame-delay": {"type", "nth", "p", "seconds"},
     "connect-refuse": {"n"},
-    "shm-stall": {"op", "nth", "seconds"},
-    "shm-corrupt": {"nth", "p"},
-    "shm-enospc": {"n"},
     "worker-kill": {"chunk"},
     "worker-sigstop": {"chunk"},
     "worker-freeze": {"chunk", "seconds"},
@@ -150,7 +133,7 @@ class _Fault:
 
 
 def _parse_value(name: str, key: str, text: str):
-    if key in ("type", "op"):
+    if key == "type":
         return text
     try:
         if key in ("nth", "n", "chunk"):
@@ -286,28 +269,6 @@ class FaultPlan:
         """Should the worker server drop this freshly accepted peer?"""
         return self._fire_first(("connect-refuse",)) is not None
 
-    def shm_create_fault(self) -> bool:
-        """Should this ring creation fail as if /dev/shm were full?"""
-        return self._fire_first(("shm-enospc",)) is not None
-
-    def shm_fault(self, op: str) -> str | None:
-        """Consulted by ring reads/writes; may sleep (stall).
-
-        Returns ``"corrupt"`` when a just-written slot should be
-        damaged (``op == "write"`` only), else ``None``.
-        """
-
-        def _stall_matches(fault: _Fault) -> bool:
-            wanted = fault.params.get("op")
-            return wanted is None or wanted == op
-
-        fault = self._fire_first(("shm-stall",), _stall_matches)
-        if fault is not None:
-            time.sleep(float(fault.params.get("seconds", 30.0)))
-        if op == "write" and self._fire_first(("shm-corrupt",)):
-            return "corrupt"
-        return None
-
     def chunk_fault(self, ordinal: int) -> tuple | None:
         """Consulted by the worker as chunk frame ``ordinal`` arrives.
 
@@ -331,7 +292,7 @@ class FaultPlan:
         return ("stall", seconds)
 
 
-# Process-global plan, consulted (when set) by the protocol/shm/worker
+# Process-global plan, consulted (when set) by the protocol/worker
 # choke points.  One plan per process keeps the injection sites trivial;
 # in-process tests scope frame faults by frame *type* (result/pong
 # frames are worker sends, chunk/ping frames are coordinator sends).

@@ -285,13 +285,6 @@ class WorkerLauncher:
     #: Overridden by concrete launchers.
     worker_slots: int = 1
 
-    #: Does this launcher's fleet run on the coordinator's own host?
-    #: The coordinator's ``transport="auto"`` shm detection trusts this
-    #: (a :class:`LocalLauncher` fleet shares ``/dev/shm`` by
-    #: construction); launchers that reach other machines leave it
-    #: False and rely on per-endpoint loopback detection instead.
-    same_host: bool = False
-
     def __init__(
         self,
         *,
@@ -483,13 +476,7 @@ class LocalLauncher(WorkerLauncher):
         python: Interpreter for the workers (default: this one).
         startup_timeout: Seconds allowed for all workers to announce
             readiness.
-
-    The fleet runs on this host (``same_host = True``), so a
-    coordinator with ``transport="auto"`` moves chunk/result payloads
-    through shared memory instead of the loopback socket.
     """
-
-    same_host = True
 
     def __init__(
         self,

@@ -87,11 +87,10 @@ def disable_nagle(sock) -> None:
     """Turn off Nagle batching on a session socket.
 
     Session frames are latency-sensitive and written as single
-    ``sendall`` calls, and under the shared-memory data plane the
-    socket carries *only* small control frames (chunk announcements,
-    slot acks) — exactly the traffic Nagle's delayed coalescing
-    penalises, stacking up to a delayed-ACK round trip (~40ms) per
-    exchange.  Tolerates non-TCP peers (tests and the in-host pool
+    ``sendall`` calls, and many are small (pings, pongs, ``end``, the
+    results of short chunks) — exactly the traffic Nagle's delayed
+    coalescing penalises, stacking up to a delayed-ACK round trip
+    (~40ms) per exchange.  Tolerates non-TCP peers (tests and the in-host pool
     drive sessions over ``socketpair``), where the option is absent
     or meaningless.
     """
@@ -204,7 +203,7 @@ def send_json_message(sock: socket.socket, header: dict, payload=b"") -> None:
     """Send one frame: JSON header, opaque binary payload.
 
     Headers must be JSON-native dicts (type tags, chunk indices,
-    descriptors, shm slot references); a non-encodable header is a
+    descriptors); a non-encodable header is a
     programming error and raises :class:`TypeError` before any byte is
     sent.  ``payload`` is any bytes-like object.
     """

@@ -16,11 +16,10 @@ frame of another wire generation, another version, garbage — gets one
 JSON ``error`` refusal naming the version, and nothing the peer sent
 is parsed.
 
-A session may move its chunk and result payloads through same-host
-shared-memory rings (:mod:`repro.eval.dist.shm`): the coordinator
-offers the rings in a ``shm`` frame, the worker attaches (or nacks back
-to inline socket payloads), and from then on data-plane frames carry
-``slot``/``size`` references instead of bytes.
+Every payload rides the session's own socket, right behind the frame
+header that describes it; a frame of any other type in the chunk loop
+(``ping`` and ``end`` aside) is a protocol error that drops the
+session, and the worker goes on serving the next one.
 
 Capacity: the ``ready`` frame advertises the worker's *capacity* — how
 many chunks it can compute at once (``repro-tomography worker``
@@ -91,7 +90,6 @@ from repro.eval.dist.protocol import (
     recv_json_message,
     send_json_message,
 )
-from repro.eval.dist.shm import ShmError, attach_ring
 from repro.eval.parallel import _execute_task, _pack_error_dicts
 
 __all__ = ["WorkerServer"]
@@ -243,136 +241,21 @@ class _HeartbeatSender:
 
 
 class _Transport:
-    """One session's data plane: inline socket bytes, or shm rings.
+    """One session's socket, shared by every sender in the session.
 
-    Starts inline; an accepted ``shm`` frame attaches the
-    coordinator-created rings, after which chunk payloads are read from
-    ``slot``/``size`` references and results are written into the
-    result ring whenever a free slot fits them (inline fallback
-    otherwise — shm is an optimisation, never a correctness
-    dependency).  The worker owns the result ring's free list; the
-    coordinator returns consumed slots in the ``ack`` field of its
-    chunk/end frames.
+    Results, errors, control replies and the heartbeat sender's pongs
+    all go through :meth:`send`, which serializes on one lock so frames
+    from pool callbacks and the beat thread never interleave.
     """
 
     def __init__(self, connection) -> None:
         self.connection = connection
-        # All session sends — results, errors, control replies, and the
-        # heartbeat sender's pongs — serialize on this one lock so
-        # frames never interleave on the socket.
         self._send_lock = threading.Lock()
-        self._chunk_ring = None
-        self._result_ring = None
-        self._free_slots: list[int] = []
-        self._free_lock = threading.Lock()
 
-    @property
-    def using_shm(self) -> bool:
-        return self._chunk_ring is not None
-
-    def open(self, header: dict) -> dict:
-        """Attach the offered rings; returns the shm-ok/shm-nack reply."""
-        if self.using_shm:
-            return {
-                "type": "shm-nack",
-                "message": "session already has shared-memory rings",
-            }
-        chunk_ring = None
-        try:
-            chunk_spec = header["chunk_ring"]
-            result_spec = header["result_ring"]
-            chunk_ring = attach_ring(
-                chunk_spec["name"],
-                int(chunk_spec["slots"]),
-                int(chunk_spec["slot_size"]),
-                layout=chunk_spec.get("layout"),
-            )
-            result_ring = attach_ring(
-                result_spec["name"],
-                int(result_spec["slots"]),
-                int(result_spec["slot_size"]),
-                layout=result_spec.get("layout"),
-            )
-        except (ShmError, KeyError, TypeError, ValueError) as exc:
-            if chunk_ring is not None:
-                chunk_ring.close()
-            return {"type": "shm-nack", "message": str(exc)}
-        self._chunk_ring = chunk_ring
-        self._result_ring = result_ring
-        self._free_slots = list(range(result_ring.n_slots))
-        return {"type": "shm-ok"}
-
-    def collect_acks(self, header: dict) -> None:
-        """Return coordinator-consumed result slots to the free list."""
-        slots = header.get("ack")
-        if not slots:
-            return
-        with self._free_lock:
-            self._free_slots.extend(int(slot) for slot in slots)
-
-    def chunk_payload(self, header: dict, payload: bytes) -> bytes:
-        """The chunk's encoded tasks, wherever the frame put them.
-
-        Shm slots are copied out immediately: the coordinator reuses a
-        chunk slot as soon as this chunk is answered, and a pooled
-        chunk is answered from a pool callback long after this read.
-        """
-        if "slot" not in header:
-            return payload
-        if self._chunk_ring is None:
-            raise ProtocolError(
-                "chunk frame references a shm slot but the session "
-                "has no shared-memory rings"
-            )
-        view = self._chunk_ring.read(
-            int(header["slot"]), int(header["size"])
-        )
-        try:
-            return bytes(view)
-        finally:
-            view.release()
-
-    def send(self, header: dict, payload: bytes = b"") -> None:
-        """Send one control frame under the session's send lock."""
+    def send(self, header: dict, payload=b"") -> None:
+        """Send one frame under the session's send lock."""
         with self._send_lock:
             send_json_message(self.connection, header, payload)
-
-    def send_result(self, header: dict, buffer) -> None:
-        """Ship one result: via a free shm slot if it fits, else inline.
-
-        Socket sends hold the session's send lock (pool callbacks and
-        the heartbeat sender share the socket); the free list has its
-        own lock because acks return slots from the session thread
-        while callbacks claim them.
-        """
-        payload = buffer_payload(buffer)
-        size = len(payload)
-        slot = None
-        if (
-            self._result_ring is not None
-            and size <= self._result_ring.slot_size
-        ):
-            with self._free_lock:
-                if self._free_slots:
-                    slot = self._free_slots.pop()
-        if slot is None:
-            self.send(header, payload)
-            return
-        try:
-            self._result_ring.write(slot, payload)
-        except ShmError:
-            with self._free_lock:
-                self._free_slots.append(slot)
-            self.send(header, payload)
-            return
-        self.send(dict(header, slot=slot, size=size))
-
-    def close(self) -> None:
-        for ring in (self._chunk_ring, self._result_ring):
-            if ring is not None:
-                ring.close()
-        self._chunk_ring = None
-        self._result_ring = None
 
 
 class WorkerServer:
@@ -709,7 +592,6 @@ class WorkerServer:
         finally:
             if heartbeat is not None:
                 heartbeat.stop()
-            transport.close()
 
     def _serve_chunks(self, transport, context, fingerprint, heartbeat):
         """The chunk loop: receive frames, submit chunks, until ``end``.
@@ -752,21 +634,16 @@ class WorkerServer:
                     # even between heartbeat beats.
                     transport.send({"type": "pong"})
                     continue
-                if kind == "shm":
-                    transport.send(transport.open(header))
-                    continue
                 if kind == "end":
                     # The coordinator only sends "end" after it has
                     # received every in-flight result, so nothing is
                     # computing for this session any more.
-                    transport.collect_acks(header)
                     self._log("session done")
                     return
                 if kind != "chunk":
                     raise ProtocolError(
                         f"expected a chunk frame, got {kind!r}"
                     )
-                transport.collect_acks(header)
                 if (
                     self._fail_after_chunks is not None
                     and chunks_accepted >= self._fail_after_chunks
@@ -781,9 +658,7 @@ class WorkerServer:
                 if self._apply_chunk_fault(chunks_accepted + 1, heartbeat):
                     return
                 chunk_id = header["chunk"]
-                future = executor.submit(
-                    run, *args, transport.chunk_payload(header, payload)
-                )
+                future = executor.submit(run, *args, payload)
                 future.add_done_callback(
                     lambda done, chunk=chunk_id: self._send_chunk_result(
                         transport, chunk, done
@@ -794,9 +669,7 @@ class WorkerServer:
             # Abandon rather than join: on a fault-injected (or torn)
             # session the in-flight chunks are already requeued on the
             # coordinator; their pool processes finish their current
-            # task, write it back to the cache, and exit.  The caller
-            # closes the transport only after the pool can no longer
-            # call back into it.
+            # task, write it back to the cache, and exit.
             executor.shutdown(wait=False, cancel_futures=True)
 
     def _send_chunk_result(self, transport, chunk_id, future) -> None:
@@ -835,13 +708,13 @@ class WorkerServer:
                     },
                 )
             else:
-                transport.send_result(
+                transport.send(
                     {
                         "type": "result",
                         "chunk": chunk_id,
                         "descriptor": descriptor,
                     },
-                    buffer,
+                    buffer_payload(buffer),
                 )
         except Exception as exc:
             # The session is gone (connection closed mid-send) or the

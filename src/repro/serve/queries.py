@@ -33,6 +33,7 @@ from repro.eval.scenario import (
     make_clustered_scenario,
     resolve_per_set_range,
 )
+from repro.exceptions import TopologyError
 from repro.simulate.experiment import ExperimentConfig
 from repro.utils.bitset import bit_count
 from repro.utils.rng import clone_generator
@@ -293,7 +294,12 @@ def validate_query(instance, query: dict) -> list[ScenarioTask]:
         from repro.predict.model import CongestionModel
 
         matrix, shifts = whatif
-        resolved = matrix.resolve(topology)
+        try:
+            resolved = matrix.resolve(topology)
+        except TopologyError as exc:
+            # A flow naming a path this topology does not have is the
+            # client's mistake, like an out-of-range path id.
+            raise ValueError(str(exc)) from None
         cells = kwargs["mc_samples"] * topology.n_links
         if cells > MAX_QUERY_CELLS:
             model = CongestionModel(exact_max_flows=kwargs["exact_max_flows"])

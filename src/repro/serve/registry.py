@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 
 from repro.core.prepared import PreparedRegistry
+from repro.eval.figures import SCALES
 from repro.io import instance_fingerprint, instance_from_dict
 from repro.topogen.brite import generate_brite
 from repro.topogen.planetlab import generate_planetlab
@@ -52,6 +53,11 @@ _GENERATOR_PARAMS = {
         "seed",
     },
 }
+
+#: Size parameters per kind and their caps: a generator spec may ask for
+#: no more than the largest topology the repo itself builds, the paper
+#: scale, so one request cannot make the service generate without bound.
+_SIZE_CAPS = {kind: dict(SCALES["paper"][kind]) for kind in _GENERATOR_PARAMS}
 
 
 class StoreFull(RuntimeError):
@@ -122,6 +128,20 @@ def instance_from_payload(payload: dict):
         raise ValueError(
             f"unknown {kind} generator parameter(s) {unknown}"
         )
+    for name, cap in _SIZE_CAPS[kind].items():
+        if name not in params:
+            continue
+        value = params[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"{kind} generator parameter {name!r} must be an "
+                f"integer, got {value!r}"
+            )
+        if value > cap:
+            raise ValueError(
+                f"{kind} generator parameter {name}={value} exceeds "
+                f"{cap}, the paper-scale size"
+            )
     if "cluster_size_range" in params:
         params["cluster_size_range"] = tuple(params["cluster_size_range"])
     if kind == "brite":

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.topology import Topology
 from repro.exceptions import MeasurementError
 from repro.model.network import NetworkCongestionModel
@@ -36,16 +38,28 @@ class ExactPathStateDistribution:
     """The exact distribution of the congested-path set.
 
     Build with :meth:`from_model`; direct construction takes a ready map
-    ``{path mask: probability}`` (useful in tests).
+    ``{path mask: probability}`` (useful in tests) and the path count,
+    which defaults to the highest path any mask names.
     """
 
-    def __init__(self, mask_probabilities: dict[int, float]) -> None:
+    def __init__(
+        self,
+        mask_probabilities: dict[int, float],
+        *,
+        n_paths: int | None = None,
+    ) -> None:
         total = sum(mask_probabilities.values())
         if not math.isclose(total, 1.0, abs_tol=1e-6):
             raise MeasurementError(
                 f"path-state probabilities must sum to 1, got {total}"
             )
         self._masks = dict(mask_probabilities)
+        if n_paths is None:
+            n_paths = max(
+                (mask.bit_length() for mask in self._masks), default=0
+            )
+        #: Paths ``0 .. n_paths - 1`` that :meth:`log_good_all` covers.
+        self.n_paths = n_paths
 
     @classmethod
     def from_model(
@@ -62,7 +76,7 @@ class ExactPathStateDistribution:
         ):
             mask = topology.coverage_of(state)
             masks[mask] = masks.get(mask, 0.0) + probability
-        return cls(masks)
+        return cls(masks, n_paths=topology.n_paths)
 
     # ------------------------------------------------------------------
     @property
@@ -103,6 +117,23 @@ class ExactPathStateDistribution:
 
     def log_good_pair(self, path_a: int, path_b: int) -> float:
         return math.log(max(self.p_good_pair(path_a, path_b), _LOG_FLOOR))
+
+    def log_good_all(self) -> np.ndarray:
+        """:meth:`log_good` of every path, bit for bit (the oracle is a
+        ground-truth tool, so this is the scalar loop)."""
+        return np.array(
+            [self.log_good(path_id) for path_id in range(self.n_paths)],
+            dtype=np.float64,
+        )
+
+    def log_good_pairs(self, pairs) -> np.ndarray:
+        """``log_good_pair`` of each row of an ``(m, 2)`` array, bit for
+        bit."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return np.array(
+            [self.log_good_pair(int(a), int(b)) for a, b in pairs],
+            dtype=np.float64,
+        )
 
     def __repr__(self) -> str:
         return f"ExactPathStateDistribution(n_masks={len(self._masks)})"

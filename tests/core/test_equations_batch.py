@@ -1,27 +1,11 @@
 """Batch equation-builder equivalence and sparse assembly tests."""
 
 import numpy as np
-import pytest
 
 from repro.core.correlation import CorrelationStructure
-from repro.core.equations import _RankTracker, build_equations
-from repro.simulate.observations import PathObservations
+from repro.core.equations import build_equations
+from repro.core.prepared import _RankTracker
 from repro.utils.rng import as_generator
-
-
-class ScalarOnlyProvider:
-    """A provider speaking only the scalar protocol, forcing the
-    builder's fallback path; values delegate to the batch kernels so
-    both paths must agree bit-for-bit."""
-
-    def __init__(self, observations: PathObservations) -> None:
-        self._observations = observations
-
-    def log_good(self, path_id: int) -> float:
-        return self._observations.log_good(path_id)
-
-    def log_good_pair(self, path_a: int, path_b: int) -> float:
-        return self._observations.log_good_pair(path_a, path_b)
 
 
 def simulated_observations(instance, seed, n_snapshots=400):
@@ -41,33 +25,6 @@ def simulated_observations(instance, seed, n_snapshots=400):
 
 
 class TestBatchScalarEquivalence:
-    @pytest.mark.parametrize("selection", ["independent", "all"])
-    def test_batch_and_scalar_providers_build_identical_systems(
-        self, planetlab_small, selection
-    ):
-        observations = simulated_observations(planetlab_small, seed=11)
-        batch = build_equations(
-            planetlab_small.topology,
-            planetlab_small.correlation,
-            observations,
-            selection=selection,
-        )
-        scalar = build_equations(
-            planetlab_small.topology,
-            planetlab_small.correlation,
-            ScalarOnlyProvider(observations),
-            selection=selection,
-        )
-        assert batch.rank == scalar.rank
-        assert batch.n_single == scalar.n_single
-        assert batch.n_pair == scalar.n_pair
-        assert len(batch.rows) == len(scalar.rows)
-        for row_a, row_b in zip(batch.rows, scalar.rows):
-            assert row_a.kind == row_b.kind
-            assert row_a.paths == row_b.paths
-            assert row_a.link_ids == row_b.link_ids
-            assert row_a.value == row_b.value  # bit-for-bit
-
     def test_rebuild_is_deterministic(self, planetlab_small):
         observations = simulated_observations(planetlab_small, seed=12)
         first = build_equations(

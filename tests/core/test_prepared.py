@@ -29,13 +29,27 @@ from repro.topogen import fig_1a, fig_1b
 
 
 class _FakeMeasurements:
-    """Deterministic PathGoodProvider — cheap and topology-agnostic."""
+    """Deterministic PathGoodProvider — cheap; only the path count
+    comes from the topology."""
+
+    def __init__(self, n_paths: int) -> None:
+        self.n_paths = n_paths
 
     def log_good(self, path_id: int) -> float:
         return -0.01 * (path_id + 1)
 
     def log_good_pair(self, path_a: int, path_b: int) -> float:
         return self.log_good(path_a) + self.log_good(path_b) - 0.001
+
+    def log_good_all(self) -> np.ndarray:
+        return np.array(
+            [self.log_good(path_id) for path_id in range(self.n_paths)]
+        )
+
+    def log_good_pairs(self, pairs) -> np.ndarray:
+        return np.array(
+            [self.log_good_pair(int(a), int(b)) for a, b in pairs]
+        )
 
 
 def _system_bits(system) -> tuple:
@@ -210,7 +224,7 @@ class TestPreparedRegistry:
 
     def test_ambient_registry_is_used_by_builds(self, instance_1a):
         registry = PreparedRegistry(capacity=2)
-        measurements = _FakeMeasurements()
+        measurements = _FakeMeasurements(instance_1a.topology.n_paths)
         with use_registry(registry):
             build_equations(
                 instance_1a.topology, instance_1a.correlation, measurements
@@ -235,7 +249,7 @@ class TestThreadSafetyRegression:
             build_equations(
                 instance.topology,
                 instance.correlation,
-                _FakeMeasurements(),
+                _FakeMeasurements(instance.topology.n_paths),
                 registry=registry,
             )
         )

@@ -1,6 +1,5 @@
 """Distributed sweep backend: framing, fault tolerance, bit-identity."""
 
-import pathlib
 import pickle
 import socket
 import threading
@@ -15,14 +14,12 @@ from repro.eval.dist import (
     ChunkBoard,
     CodecError,
     ConnectionClosed,
-    FaultPlan,
     HostSpec,
     ProtocolError,
     RemoteExecutor,
-    SHM_PREFIX,
-    ShmError,
     WorkerServer,
     buffer_payload,
+    encode_context,
     parse_hosts,
     payload_to_buffer,
     recv_json_message,
@@ -807,162 +804,67 @@ class TestV4Wire:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory transport
+# One data plane: every payload rides the session socket
 # ----------------------------------------------------------------------
-def _shm_segments():
-    return sorted(pathlib.Path("/dev/shm").glob(f"{SHM_PREFIX}*"))
-
-
-@pytest.fixture
-def ring_spy(monkeypatch):
-    """Record every ring the coordinator creates (and its name)."""
-    from repro.eval.dist import coordinator as coordinator_module
-
-    created = []
-    real_create = coordinator_module.create_ring
-
-    def spy(n_slots, slot_size, **kwargs):
-        ring = real_create(n_slots, slot_size, **kwargs)
-        created.append(ring.name)
-        return ring
-
-    monkeypatch.setattr(coordinator_module, "create_ring", spy)
-    return created
-
-
-@pytest.mark.skipif(
-    not pathlib.Path("/dev/shm").is_dir(),
-    reason="POSIX shared memory not mounted",
-)
-class TestShmTransport:
-    def _sweep(self, instance, tasks, servers, **executor_kwargs):
-        return run_scenario_tasks(
-            instance,
-            tasks,
-            config=FAST,
-            executor=RemoteExecutor(
-                [server.address for server in servers],
-                **executor_kwargs,
-            ),
-        )
-
-    def test_shm_sweep_bit_identical_and_rings_unlinked(
-        self, planetlab_small, ring_spy
+class TestOneDataPlane:
+    def test_shm_offer_from_an_older_build_drops_only_that_session(
+        self, planetlab_small, capfd
     ):
+        """An older build offered shared-memory rings in an ``shm`` frame
+        right after ``context``.  This worker has one data plane, so the
+        offer ends that session with one logged protocol error — no
+        traceback, no session thread left behind — and the worker then
+        serves the next session bit-identically to serial."""
         tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=4, seed=46
+            "clustered", {"congested_fraction": 0.1}, n_trials=3, seed=52
         )
         serial = run_scenario_tasks(
             planetlab_small, tasks, config=FAST, workers=1
         )
-        with worker_fleet(2, capacity=2) as servers:
-            remote = self._sweep(
-                planetlab_small, tasks, servers, transport="shm"
+        ring = {"name": "repro-dist-1-0", "slots": 2, "slot_size": 64,
+                "layout": "crc32"}
+        logs: list[str] = []
+        with worker_fleet(1, max_sessions=2, log=logs.append) as servers:
+            server = servers[0]
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=5
             )
-        assert_identical(serial, remote)
-        # Two rings per session actually moved the payloads...
-        assert len(ring_spy) == 4
-        # ...and every segment was unlinked at teardown.
-        assert not _shm_segments()
-
-    def test_auto_transport_detects_loopback(
-        self, planetlab_small, ring_spy
-    ):
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=2, seed=47
-        )
-        with worker_fleet(1) as servers:
-            self._sweep(planetlab_small, tasks, servers)  # transport="auto"
-        assert len(ring_spy) == 2
-        assert not _shm_segments()
-
-    def test_socket_transport_never_creates_rings(
-        self, planetlab_small, ring_spy
-    ):
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=2, seed=48
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(1) as servers:
-            remote = self._sweep(
-                planetlab_small, tasks, servers, transport="socket"
-            )
-        assert_identical(serial, remote)
-        assert ring_spy == []
-
-    def test_attach_failure_nacks_and_falls_back_inline(
-        self, planetlab_small, ring_spy, monkeypatch
-    ):
-        """A worker that cannot map the rings keeps the sweep alive.
-
-        The worker nacks the shm offer (e.g. a loopback-looking address
-        that is really a tunnel to another host); the coordinator
-        unlinks its rings and the session completes on inline socket
-        payloads — shm is an optimisation, never a correctness
-        dependency.
-        """
-        from repro.eval.dist import worker as worker_module
-
-        def refuse(name, n_slots, slot_size):
-            raise ShmError(f"injected attach failure for {name}")
-
-        monkeypatch.setattr(worker_module, "attach_ring", refuse)
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=3, seed=49
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(2) as servers:
-            remote = self._sweep(
-                planetlab_small, tasks, servers, transport="shm"
-            )
-        assert_identical(serial, remote)
-        assert len(ring_spy) == 4  # offered, nacked...
-        assert not _shm_segments()  # ...and unlinked on the nack
-
-    def test_tiny_result_slots_fall_back_inline(self, planetlab_small):
-        """Results that outgrow their ring slot ship inline instead."""
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=3, seed=50
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(1, capacity=2) as servers:
-            remote = self._sweep(
+            try:
+                send_json_message(
+                    sock, {"type": "init", "protocol": PROTOCOL_VERSION}
+                )
+                ready, _ = recv_json_message(sock)
+                assert ready["type"] == "ready"
+                send_json_message(
+                    sock,
+                    {"type": "context"},
+                    encode_context((planetlab_small, FAST, None)),
+                )
+                send_json_message(
+                    sock,
+                    {"type": "shm", "chunk_ring": ring, "result_ring": ring},
+                )
+                # No reply of any kind: the worker hangs up.
+                with pytest.raises(ConnectionClosed):
+                    recv_json_message(sock)
+            finally:
+                sock.close()
+            remote = run_scenario_tasks(
                 planetlab_small,
                 tasks,
-                servers,
-                transport="shm",
-                shm_slot_bytes=8,
+                config=FAST,
+                executor=RemoteExecutor([server.address]),
             )
         assert_identical(serial, remote)
-        assert not _shm_segments()
-
-    def test_worker_death_with_shm_requeues(self, planetlab_small):
-        """The SIGKILL-requeue guarantee holds on the shm data plane."""
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=4, seed=51
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(1) as good:
-            with worker_fleet(1, fail_after_chunks=1) as flaky:
-                remote = run_scenario_tasks(
-                    planetlab_small,
-                    tasks,
-                    config=FAST,
-                    executor=RemoteExecutor(
-                        [good[0].address, flaky[0].address],
-                        transport="shm",
-                    ),
-                )
-        assert_identical(serial, remote)
-        assert not _shm_segments()
+        aborted = [line for line in logs if line.startswith("session aborted")]
+        assert len(aborted) == 1 and "'shm'" in aborted[0], logs
+        assert any(line.startswith("session done") for line in logs), logs
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("worker-session-")
+        ]
+        assert "Traceback" not in capfd.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -1091,75 +993,3 @@ class TestChunkBoard:
         board.requeue(1)
         assert board.claim() == 1  # ahead of chunk 2
         assert board.claim() == 2
-
-
-# ----------------------------------------------------------------------
-# Robustness surfaces: heartbeat gating, degradation stats (S2), ENOSPC
-# fallback (S3)
-# ----------------------------------------------------------------------
-class TestRobustnessSurfaces:
-    @pytest.mark.skipif(
-        not pathlib.Path("/dev/shm").is_dir(),
-        reason="POSIX shared memory not mounted",
-    )
-    def test_inline_fallbacks_surface_in_sweep_stats(self, planetlab_small):
-        """S2: shm→inline degradation is counted, not silent.
-
-        Result slots far too small for any payload force every result
-        onto the inline socket path; the sweep stats must say so.
-        """
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=3, seed=62
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(1, capacity=2) as servers:
-            executor = RemoteExecutor(
-                [server.address for server in servers],
-                transport="shm",
-                shm_slot_bytes=8,
-            )
-            remote = run_scenario_tasks(
-                planetlab_small, tasks, config=FAST, executor=executor
-            )
-        assert_identical(serial, remote)
-        stats = executor.last_sweep_stats
-        assert stats.shm_sessions == 1
-        assert stats.shm_inline_results > 0
-        assert sum(stats.inline_by_session.values()) > 0
-        assert "inline" in stats.render()
-
-    @pytest.mark.skipif(
-        not pathlib.Path("/dev/shm").is_dir(),
-        reason="POSIX shared memory not mounted",
-    )
-    def test_shm_enospc_falls_back_to_socket_bit_identical(
-        self, planetlab_small, ring_spy
-    ):
-        """S3: an exhausted /dev/shm degrades to sockets, not failure.
-
-        The ``shm-enospc`` chaos fault makes every ring creation fail
-        exactly as a full tmpfs would (``ENOSPC`` inside
-        ``create_ring``); the session must proceed on inline socket
-        payloads with no segments left behind.
-        """
-        from repro.eval.dist import faults
-
-        tasks = scenario_tasks(
-            "clustered", {"congested_fraction": 0.1}, n_trials=3, seed=63
-        )
-        serial = run_scenario_tasks(
-            planetlab_small, tasks, config=FAST, workers=1
-        )
-        with worker_fleet(1) as servers:
-            executor = RemoteExecutor(
-                [server.address for server in servers], transport="shm"
-            )
-            with faults.installed(FaultPlan.parse("shm-enospc")):
-                remote = run_scenario_tasks(
-                    planetlab_small, tasks, config=FAST, executor=executor
-                )
-        assert_identical(serial, remote)
-        assert executor.last_sweep_stats.shm_sessions == 0
-        assert not _shm_segments()

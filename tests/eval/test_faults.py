@@ -10,7 +10,6 @@ coordinator sends.
 """
 
 import os
-import pathlib
 import time
 
 import pytest
@@ -60,6 +59,20 @@ class TestFaultSpecParsing:
         with pytest.raises(FaultSpecError):
             FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize(
+        "spec", ["shm-corrupt", "shm-stall:seconds=1", "shm-enospc"]
+    )
+    def test_retired_shared_memory_faults_are_unknown(self, spec):
+        """The shared-memory data plane is gone, and so are its faults:
+        a spec naming one is a typo-class error that lists what the
+        plane does know."""
+        with pytest.raises(FaultSpecError) as excinfo:
+            FaultPlan.parse(spec)
+        message = str(excinfo.value)
+        assert "unknown chaos fault" in message
+        for known in ("connect-refuse", "frame-corrupt", "worker-kill"):
+            assert known in message
+
     def test_spec_grammar_round_trip(self):
         plan = FaultPlan.parse(
             "frame-corrupt:type=result:nth=2,connect-refuse:n=1,"
@@ -89,7 +102,7 @@ class TestFaultSpecParsing:
         outer = FaultPlan.parse("connect-refuse:n=1")
         with faults.installed(outer):
             assert faults.active_plan() is outer
-            with faults.installed(FaultPlan.parse("shm-enospc")):
+            with faults.installed(FaultPlan.parse("frame-drop:nth=1")):
                 assert faults.active_plan() is not outer
             assert faults.active_plan() is outer
         assert faults.active_plan() is None
@@ -100,7 +113,6 @@ class TestFrameFaults:
         with worker_fleet(n_workers) as servers:
             executor = RemoteExecutor(
                 [server.address for server in servers],
-                transport="socket",
                 **kwargs,
             )
             with faults.installed(FaultPlan.parse(spec)):
@@ -287,38 +299,6 @@ class TestWorkerFaults:
                 )
         assert_identical(serial, remote)
         assert executor.last_sweep_stats.serial_fallback_chunks >= 1
-
-
-@pytest.mark.skipif(
-    not pathlib.Path("/dev/shm").is_dir(),
-    reason="POSIX shared memory not mounted",
-)
-class TestShmFaults:
-    def test_corrupted_slot_fails_the_crc_and_requeues(
-        self, planetlab_small
-    ):
-        """One shm slot is damaged after its CRC is stamped; whichever
-        side reads it gets a checksum mismatch — a detected, retriable
-        transport error, not silent data corruption."""
-        tasks = _tasks(seed=89)
-        serial = _serial(planetlab_small, tasks)
-        with worker_fleet(2) as servers:
-            executor = RemoteExecutor(
-                [server.address for server in servers],
-                transport="shm",
-            )
-            with faults.installed(FaultPlan.parse("shm-corrupt:nth=1")):
-                remote = run_scenario_tasks(
-                    planetlab_small, tasks, config=FAST, executor=executor
-                )
-        assert_identical(serial, remote)
-        stats = executor.last_sweep_stats
-        assert stats.shm_sessions >= 1
-        assert stats.worker_losses >= 1
-        assert stats.requeued_chunks >= 1
-        assert not sorted(
-            pathlib.Path("/dev/shm").glob("repro-ring-*")
-        ), "rings must be unlinked even on a corrupted-session teardown"
 
 
 class TestRealProcessFaults:

@@ -229,6 +229,18 @@ class TestFailures:
         error = capsys.readouterr().err.strip().splitlines()
         assert len(error) == 1 and error[0].startswith("error: flow 'f'")
 
+    def test_unknown_path_name_exits_2(self, tmp_path, capsys):
+        """A flow naming a path the topology does not have is a usage
+        error, like an out-of-range path id — not a traceback."""
+        path = tmp_path / "demand.json"
+        payload = {"flows": [{"name": "f", "rate": 1.0, "paths": ["nope"]}]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(predict_argv(str(path)))
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()
+        assert error == ["error: no path named 'nope'"], error
+
     @pytest.mark.parametrize(
         "spec", ["no-colon", "surge:abc", "surge:-1", ":2.0"]
     )

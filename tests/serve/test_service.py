@@ -9,6 +9,7 @@ entry points in subprocesses.
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import http.client
 import json
@@ -23,9 +24,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.eval.figures import SCALES
 from repro.serve.client import ServiceClient, ServiceError
 from repro.serve.queries import MAX_MC_SAMPLES, decode_vectors, run_query
-from repro.serve import server
+from repro.serve import registry, server
 from repro.serve.registry import instance_from_payload
 from repro.serve.server import MAX_HEADERS, MAX_LINE_BYTES
 
@@ -101,6 +103,41 @@ class TestEndpoints:
             client.request("POST", "/topologies", payload)
         assert excinfo.value.status == 400
         assert match in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            (kind, name)
+            for kind in ("brite", "planetlab")
+            for name in SCALES["paper"][kind]
+        ],
+    )
+    def test_size_one_past_the_paper_scale_is_400(self, client, kind, name):
+        """The first size past the largest topology the repo builds is
+        refused before any generation starts."""
+        too_big = SCALES["paper"][kind][name] + 1
+        started = time.perf_counter()
+        with pytest.raises(ServiceError) as excinfo:
+            client.request(
+                "POST",
+                "/topologies",
+                {"generator": {"kind": kind, name: too_big}},
+            )
+        elapsed = time.perf_counter() - started
+        assert excinfo.value.status == 400
+        assert f"{name}={too_big}" in str(excinfo.value)
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("value", ["40", 40.0, True, None])
+    def test_non_integer_size_is_400(self, client, value):
+        with pytest.raises(ServiceError) as excinfo:
+            client.request(
+                "POST",
+                "/topologies",
+                {"generator": dict(GENERATOR, n_ases=value)},
+            )
+        assert excinfo.value.status == 400
+        assert "must be an integer" in str(excinfo.value)
 
     def test_unknown_topology_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -640,3 +677,44 @@ def test_sigterm_with_idle_keepalive_client_exits_quietly():
             process.communicate()
     assert process.returncode == 0
     assert "Traceback" not in stderr, stderr
+
+
+def _serve_mixed_generator() -> dict:
+    """The ``GENERATOR`` literal of the mixed service workload."""
+    source = (REPO_ROOT / "perfbench" / "serve_mixed.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "GENERATOR"
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/serve_mixed.py defines no GENERATOR")
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        dict(SCALES["paper"]["brite"], kind="brite", seed=0),
+        dict(SCALES["paper"]["planetlab"], kind="planetlab", seed=0),
+        _serve_mixed_generator(),
+    ],
+    ids=["paper-brite", "paper-planetlab", "serve-mixed"],
+)
+def test_repo_generator_specs_pass_the_size_check(monkeypatch, generator):
+    """Every topology the repo itself builds is still accepted; the
+    generators are stubbed so the check runs without generating."""
+    calls = []
+
+    def fake_brite(**params):
+        calls.append(params)
+        return type("Generated", (), {"instance": "brite"})
+
+    def fake_planetlab(**params):
+        calls.append(params)
+        return "planetlab"
+
+    monkeypatch.setattr(registry, "generate_brite", fake_brite)
+    monkeypatch.setattr(registry, "generate_planetlab", fake_planetlab)
+    kind = generator["kind"]
+    assert instance_from_payload({"generator": generator}) == kind
+    assert calls == [{k: v for k, v in generator.items() if k != "kind"}]

@@ -29,6 +29,14 @@ DEMAND = {
     "shifts": [{"name": "surge", "scale": 1.6}],
 }
 PARAMS = {"seed": 3, "n_snapshots": 30, "packets_per_path": 200}
+#: The 120-path topology the mixed service workload loads.
+SERVICE_GENERATOR = {
+    "kind": "brite",
+    "n_ases": 40,
+    "routers_per_as": 5,
+    "n_paths": 120,
+    "seed": 7,
+}
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +111,22 @@ class TestWhatIfEndpoint:
             client.whatif(fingerprint, demand, **PARAMS)
         assert excinfo.value.status == 400
         assert "flow 'f'" in str(excinfo.value)
+
+    def test_unknown_path_name_is_a_bad_request(self, client):
+        """A flow naming a path the topology does not have gets one JSON
+        400, like an out-of-range path id; the topology then answers a
+        good query bit-identically to the batch engine."""
+        fingerprint = client.load_topology(generator=SERVICE_GENERATOR)
+        demand = {"flows": [{"name": "f", "rate": 1.0, "paths": ["nope"]}]}
+        with pytest.raises(ServiceError) as excinfo:
+            client.whatif(fingerprint, demand, **PARAMS)
+        assert excinfo.value.status == 400
+        assert "no path named 'nope'" in excinfo.value.payload["error"]
+        served = client.whatif(fingerprint, DEMAND, **PARAMS)
+        batch = run_query(
+            instance_from_payload({"generator": SERVICE_GENERATOR}),
+            dict(PARAMS, kind="whatif", demand=DEMAND),
+        )
+        assert sorted(served) == sorted(batch)
+        for key, vector in batch.items():
+            assert np.array_equal(vector, served[key]), key

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import MeasurementError
@@ -79,3 +80,34 @@ class TestGoodProbabilities:
         assert oracle.p_good(0) == 0.0
         assert math.isfinite(oracle.log_good(0))
         assert oracle.log_good(0) < -600
+
+
+class TestBatchApi:
+    def test_log_good_all_is_the_scalar_loop_bit_for_bit(
+        self, instance_1a, oracle_1a
+    ):
+        n_paths = instance_1a.topology.n_paths
+        batch = oracle_1a.log_good_all()
+        assert batch.shape == (n_paths,) and batch.dtype == np.float64
+        for path_id in range(n_paths):
+            assert batch[path_id] == oracle_1a.log_good(path_id)
+
+    def test_log_good_pairs_is_the_scalar_loop_bit_for_bit(
+        self, instance_1a, oracle_1a
+    ):
+        n_paths = instance_1a.topology.n_paths
+        pairs = np.array(
+            [(a, b) for a in range(n_paths) for b in range(n_paths)]
+        )
+        batch = oracle_1a.log_good_pairs(pairs)
+        assert batch.shape == (len(pairs),) and batch.dtype == np.float64
+        for value, (a, b) in zip(batch, pairs):
+            assert value == oracle_1a.log_good_pair(int(a), int(b))
+        assert oracle_1a.log_good_pairs(np.zeros((0, 2))).shape == (0,)
+
+    def test_direct_construction_covers_the_highest_named_path(self):
+        oracle = ExactPathStateDistribution({0: 0.5, 0b100: 0.5})
+        assert oracle.n_paths == 3
+        assert oracle.log_good_all()[2] == oracle.log_good(2)
+        wider = ExactPathStateDistribution({0: 1.0}, n_paths=4)
+        assert np.array_equal(wider.log_good_all(), np.zeros(4))
