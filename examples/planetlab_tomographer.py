@@ -9,7 +9,8 @@ by how well they predict *held-out* path-level behaviour, since real
 per-link ground truth is unobservable).
 
 PlanetLab is not reachable from an offline reproduction, so the mesh is
-synthetic (see DESIGN.md §2.4), but the protocol is the planned one:
+synthetic (see :mod:`repro.topogen.planetlab`), but the protocol is the
+planned one:
 train on one measurement window, validate on another, compare variants.
 
 Run:  python examples/planetlab_tomographer.py

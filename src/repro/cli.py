@@ -24,8 +24,7 @@ inference over the same concatenated snapshots — so
 
 is the streaming correctness check.
 
-Every subcommand prints the same rows/series the paper plots (see
-EXPERIMENTS.md for the recorded outputs).
+Every figure subcommand prints the same rows/series the paper plots.
 
 Figure commands support the persistent trial-result cache
 (:mod:`repro.eval.cache`):

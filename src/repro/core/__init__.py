@@ -49,7 +49,7 @@ from repro.core.streaming import (
     StreamingTomography,
     WindowVerdict,
 )
-from repro.core.solvers import solve, solve_bounded_least_squares, solve_l1
+from repro.core.solvers import solve, solve_l1
 from repro.core.theorem import TheoremAlgorithm, TheoremResult
 from repro.core.topology import Topology
 from repro.core.transform import (
@@ -86,7 +86,6 @@ __all__ = [
     "use_registry",
     "solve",
     "solve_l1",
-    "solve_bounded_least_squares",
     "AlgorithmOptions",
     "CorrelationTomography",
     "infer_congestion",

@@ -30,17 +30,15 @@ __all__ = ["AlgorithmOptions", "CorrelationTomography", "infer_congestion"]
 class AlgorithmOptions:
     """Tuning knobs of the practical algorithm.
 
+    Both knobs shape which equations the system keeps; the estimator
+    itself is fixed to the paper's: rank-increasing rows only (Section
+    4) and the L1 program of :mod:`repro.core.solvers`.
+
     Attributes:
-        selection: ``"independent"`` keeps only rank-increasing equations
-            (the paper's formulation); ``"all"`` keeps every eligible row
-            for noise averaging.
-        solver: ``"l1"`` (paper), ``"least_squares"``, or ``"auto"``.
         max_pair_candidates: Bound on examined path pairs.
         pair_order_seed: Shuffle seed for pair examination order.
     """
 
-    selection: str = "independent"
-    solver: str = "l1"
     max_pair_candidates: int = 200_000
     pair_order_seed: int | None = 0
 

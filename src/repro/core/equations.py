@@ -19,14 +19,9 @@ linearly independent from the singles (both singles are always eligible
 when the pair is).  This observation shrinks the candidate space from
 ``|P|²`` to roughly ``Σ_k |ψ({e_k})|²`` without losing any rank.
 
-Two selection modes:
-
-* ``"independent"`` (the paper's description): keep only rows that increase
-  the rank, tracked by incremental Gaussian elimination, stopping at full
-  column rank.
-* ``"all"``: keep every eligible row and let the solver's L1/L2 objective
-  reconcile redundancy — more robust under measurement noise, identical in
-  the noise-free consistent case.
+Following the paper's description, only rows that increase the rank are
+kept, tracked by incremental Gaussian elimination, stopping at full column
+rank.
 
 The builder is batch-first: candidate pairs are enumerated with array
 operations on the sparse routing matrix, eligibility is decided by
@@ -165,7 +160,6 @@ def build_equations(
     correlation: CorrelationStructure,
     measurements: PathGoodProvider | None,
     *,
-    selection: str = "independent",
     max_pair_candidates: int = 200_000,
     pair_order_seed=0,
     prepared: PreparedTopology | None = None,
@@ -180,8 +174,6 @@ def build_equations(
         measurements: Provider of the measured ``y`` values; ``None``
             builds the structure alone, every value 0.0 (row acceptance
             never reads the values).
-        selection: ``"independent"`` (paper) or ``"all"`` (keep every
-            eligible row).
         max_pair_candidates: Bound on examined shared-link pairs; beyond it
             the system is returned as-is (rank possibly deficient — the
             L1 solve then picks the minimum-error solution, Section 4).
@@ -194,10 +186,6 @@ def build_equations(
             defaults to the ambient registry (see
             :func:`repro.core.prepared.use_registry`).
     """
-    if selection not in ("independent", "all"):
-        raise ValueError(
-            f"selection must be 'independent' or 'all', got {selection!r}"
-        )
     n_links = topology.n_links
     system = EquationSystem(n_links=n_links)
     prep = get_prepared(
@@ -213,7 +201,7 @@ def build_equations(
     for (path_id, link_ids, added), value in zip(
         prep.singles, single_values
     ):
-        if selection == "all" or added:
+        if added:
             system.rows.append(
                 EquationRow(
                     kind="path",
@@ -225,16 +213,12 @@ def build_equations(
             system.n_single += 1
 
     # --- Pair rows (Eq. 10) -------------------------------------------
-    if tracker.rank < n_links or selection == "all":
+    if tracker.rank < n_links:
         candidates = prep.candidates
         pair_eligible = prep.pair_eligible
         # Prefilter is skipped when the candidate cap binds (dropped
-        # rows would otherwise still count as "examined") and in "all"
-        # mode, which keeps dependent rows.
-        use_prefilter = (
-            selection == "independent"
-            and 0 < candidates.shape[0] <= max_pair_candidates
-        )
+        # rows would otherwise still count as "examined").
+        use_prefilter = 0 < candidates.shape[0] <= max_pair_candidates
         keep = ~prep.dependent_mask() if use_prefilter else None
         if pair_order_seed is not None:
             # Permute the FULL candidate list — identical RNG use and
@@ -256,7 +240,7 @@ def build_equations(
         for index in range(candidates.shape[0]):
             if examined >= max_pair_candidates:
                 break
-            if selection == "independent" and tracker.rank >= n_links:
+            if tracker.rank >= n_links:
                 break
             examined += 1
             if not pair_eligible[index]:
@@ -269,8 +253,7 @@ def build_equations(
                 topology.paths[path_a].link_ids
             ) | frozenset(topology.paths[path_b].link_ids)
             row = _row_vector(link_ids, n_links)
-            added = tracker.try_add(row)
-            if selection == "all" or added:
+            if tracker.try_add(row):
                 system.rows.append(
                     EquationRow(
                         kind="pair",

@@ -11,14 +11,10 @@ links are independent: every path contributes the equation
 system is solved in the least-squares sense with the sign constraint
 ``x ≤ 0``.
 
-Two deviations from that baseline are available for ablation:
-
-* :func:`repro.core.nguyen_thiran.infer_congestion_single_path` is the
-  same computation with a selectable solver;
-* running :func:`repro.core.correlation_algorithm.infer_congestion` with
-  ``CorrelationStructure.trivial(topology)`` gives the independence
-  assumption *plus* this paper's pair equations and L1 objective — i.e.
-  what the baseline would gain from the paper's machinery alone.
+Running :func:`repro.core.correlation_algorithm.infer_congestion` with
+``CorrelationStructure.trivial(topology)`` instead gives the independence
+assumption *plus* this paper's pair equations and L1 objective — i.e.
+what the baseline would gain from the paper's machinery alone.
 
 When links actually are correlated, the measured ``y`` values deviate
 from the assumed sums; least squares spreads the discrepancy across every
@@ -48,11 +44,9 @@ def infer_congestion_independent(
     """Run the independence baseline [12] on a measurement batch.
 
     ``options`` is accepted for interface parity with the correlation
-    algorithm; only its solver choice would be meaningful, and the
-    baseline's published formulation is least squares, so it is ignored.
+    algorithm and ignored: the baseline is fixed to [12]'s least-squares
+    formulation.
     """
     del options  # interface parity; the baseline is fixed to [12]'s form
-    result = infer_congestion_single_path(
-        topology, measurements, solver="min_norm"
-    )
+    result = infer_congestion_single_path(topology, measurements)
     return dataclasses.replace(result, algorithm="independence")

@@ -24,7 +24,6 @@ with :func:`use_registry`, or rely on the process-wide
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import threading
@@ -312,17 +311,13 @@ class PreparedTopology:
         """The equation template for ``options`` (lazy, shared).
 
         One :class:`~repro.core.streaming.EquationTemplate` is built per
-        set of options that shape the structure (every field but
-        ``solver``), under a lock so concurrent first calls share one
-        build.  A caller whose options differ only in ``solver`` gets a
-        shallow copy carrying its own options over the same structure
-        and lifted program.
+        set of options, under a lock so concurrent first calls share one
+        build.
         """
         from repro.core.streaming import EquationTemplate
 
-        key = dataclasses.replace(options, solver="l1")
         with self._template_lock:
-            template = self._templates.get(key)
+            template = self._templates.get(options)
             if template is None:
                 template = EquationTemplate.build(
                     self.topology,
@@ -330,9 +325,7 @@ class PreparedTopology:
                     options=options,
                     prepared=self,
                 )
-                self._templates[key] = template
-        if template.options != options:
-            template = dataclasses.replace(template, options=options)
+                self._templates[options] = template
         return template
 
     @property

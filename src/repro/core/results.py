@@ -27,7 +27,9 @@ class InferenceResult:
         n_single_equations: The paper's ``N1``.
         n_pair_equations: The paper's ``N2``.
         rank: Rank of the assembled system.
-        solver: Which solver produced ``log_good``.
+        solver: The estimator that produced ``log_good``: ``"l1"`` (the
+            paper's program) or ``"min_norm"`` (the independence
+            baseline).
         diagnostics: Free-form extras (eligible path counts, timings...).
     """
 

@@ -11,10 +11,11 @@ program
 solved by HiGHS.  Its optimum is often a whole face, so the estimate is
 the one point of that face with the least weighted total inferred
 congestion (see :class:`L1Program` for the tie-break and its tolerance).
-A bounded least-squares alternative is provided for ablation
-(:func:`solve_bounded_least_squares`) along with an automatic chooser.
+This program is the package's only correlation estimator: a failed LP
+raises :class:`~repro.exceptions.SolverError` rather than falling back
+to another objective.
 
-Every solver accepts ``R`` either dense (:class:`numpy.ndarray`) or sparse
+The solver accepts ``R`` either dense (:class:`numpy.ndarray`) or sparse
 (any :mod:`scipy.sparse` matrix).  Sparse inputs — the native output of
 :meth:`repro.core.equations.EquationSystem.sparse_matrix` — flow into the
 LP without a densify round-trip.  The LP lift of a fixed ``R`` is an
@@ -38,7 +39,6 @@ import threading
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import lsq_linear
 from scipy.sparse.linalg._dsolve import _superlu
 
 from repro.exceptions import SolverError
@@ -55,11 +55,7 @@ __all__ = [
     "L1Program",
     "WarmStart",
     "solve_l1",
-    "solve_bounded_least_squares",
-    "solve_min_norm_least_squares",
-    "min_norm_least_squares_with_rank",
     "solve",
-    "SOLVERS",
 ]
 
 
@@ -85,10 +81,6 @@ def _as_values(values, n_rows: int) -> np.ndarray:
 def _covered_columns(matrix) -> np.ndarray:
     """Boolean mask of columns appearing in at least one equation."""
     return np.asarray(np.abs(matrix).sum(axis=0)).ravel() > 0
-
-
-def _densify(matrix) -> np.ndarray:
-    return matrix.toarray() if sparse.issparse(matrix) else matrix
 
 
 #: Weight of the tie-break in the one LP objective.  Against the unit
@@ -489,126 +481,18 @@ def solve_l1(
     return matrix.solve(values, warm=warm)
 
 
-def min_norm_least_squares_with_rank(
-    matrix,
-    values: np.ndarray,
-    *,
-    upper_bound: float = 0.0,
-) -> tuple[np.ndarray, int]:
-    """Minimum-norm least squares plus the numerical rank of ``R``.
-
-    The rank comes out of the ``lstsq`` factorisation itself — callers
-    that previously ran a separate ``matrix_rank`` SVD get it for free.
-    """
-    dense = np.asarray(_densify(matrix), dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    solution, _, rank, _ = np.linalg.lstsq(dense, values, rcond=None)
-    return np.minimum(solution, upper_bound), int(rank)
-
-
-def solve_min_norm_least_squares(
-    matrix,
-    values: np.ndarray,
-    *,
-    upper_bound: float = 0.0,
-) -> np.ndarray:
-    """Minimum-norm least squares, clipped to ``x ≤ upper_bound``.
-
-    This is the pseudo-inverse solution ``x = R⁺ y`` — the classic
-    resolution of an under-determined tomographic system (the baseline of
-    [12] learns link probabilities this way): directions unconstrained by
-    the measurements stay at zero ("never congested") instead of drifting,
-    and inconsistent measurements are spread across the involved links in
-    the L2 sense.  The sign constraint is applied by clipping.
-    """
-    solution, _ = min_norm_least_squares_with_rank(
-        matrix, values, upper_bound=upper_bound
-    )
-    return solution
-
-
-def solve_bounded_least_squares(
-    matrix,
-    values: np.ndarray,
-    *,
-    upper_bound: float = 0.0,
-) -> np.ndarray:
-    """Minimise ``‖Rx − y‖₂`` subject to ``x ≤ upper_bound``.
-
-    Ablation alternative to :func:`solve_l1`; uncovered columns are zeroed
-    after the solve for parity with the L1 path.  Falls back to the
-    clipped minimum-norm solution when the active-set iteration stalls.
-    """
-    matrix = _as_matrix(matrix)
-    values = _as_values(values, matrix.shape[0])
-    n_cols = matrix.shape[1]
-    # BVLS needs a dense operator; TRF works on sparse matrices natively.
-    use_bvls = n_cols <= 400
-    operator = _densify(matrix) if use_bvls else matrix
-    result = lsq_linear(
-        operator,
-        values,
-        bounds=(np.full(n_cols, -np.inf), np.full(n_cols, upper_bound)),
-        method="bvls" if use_bvls else "trf",
-    )
-    if result.status < 0 or not np.all(np.isfinite(result.x)):
-        solution = solve_min_norm_least_squares(
-            matrix, values, upper_bound=upper_bound
-        )
-    else:
-        solution = result.x
-    covered = _covered_columns(matrix)
-    solution = np.where(covered, solution, 0.0)
-    return solution
-
-
-#: Registry used by the algorithm front-ends ("auto" prefers L1, falling
-#: back to least squares if the LP fails — rare, but measurement noise can
-#: produce degenerate systems).
-SOLVERS = {
-    "l1": solve_l1,
-    "least_squares": solve_bounded_least_squares,
-    "min_norm": solve_min_norm_least_squares,
-}
-
-
 def solve(
     matrix,
     values: np.ndarray,
     *,
-    method: str = "l1",
     upper_bound: float = 0.0,
     warm: WarmStart | None = None,
 ) -> tuple[np.ndarray, str]:
-    """Dispatch to a registered solver; returns ``(x, solver_used)``.
+    """The paper's L1 estimate; returns ``(x, "l1")``.
 
-    ``matrix`` may be an :class:`L1Program`: the L1 solver then reuses
-    its lift and every other solver works on its ``R``.  ``warm`` is
-    used by the L1 solver only.
+    The one entry every inference path solves through; the second
+    element is the estimator's name, recorded in each
+    :class:`~repro.core.results.InferenceResult`.  Arguments are those
+    of :func:`solve_l1`.
     """
-    plain = matrix.matrix if isinstance(matrix, L1Program) else matrix
-    if method == "auto":
-        try:
-            solution = solve_l1(
-                matrix, values, upper_bound=upper_bound, warm=warm
-            )
-            return solution, "l1"
-        except SolverError:
-            return (
-                solve_bounded_least_squares(
-                    plain, values, upper_bound=upper_bound
-                ),
-                "least_squares",
-            )
-    try:
-        solver = SOLVERS[method]
-    except KeyError:
-        raise SolverError(
-            f"unknown solver {method!r}; available: "
-            f"{sorted(SOLVERS)} or 'auto'"
-        ) from None
-    if solver is solve_l1:
-        return solve_l1(
-            matrix, values, upper_bound=upper_bound, warm=warm
-        ), method
-    return solver(plain, values, upper_bound=upper_bound), method
+    return solve_l1(matrix, values, upper_bound=upper_bound, warm=warm), "l1"

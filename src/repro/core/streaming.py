@@ -1,7 +1,6 @@
 """Window-incremental inference: the streaming face of Section 4.
 
-With the paper's ``"independent"`` selection (and with ``"all"``),
-*which* rows of the equation system are accepted depends only on the
+*Which* rows of the equation system are accepted depends only on the
 prepared topology — acceptance is decided by rank tracking over rows
 derived from path link-id sets, never by the measured values.  The
 accepted row **structure**, and with it the lifted L1 program, is
@@ -62,12 +61,10 @@ class EquationTemplate:
     options with :meth:`build` (or get the shared one from
     :meth:`PreparedTopology.template
     <repro.core.prepared.PreparedTopology.template>`); then :meth:`infer`
-    re-derives only the ``y`` vector and solves.  ``options.solver`` is
-    the only field that does not shape the structure.
+    re-derives only the ``y`` vector and solves.
     """
 
     topology: Topology
-    options: AlgorithmOptions
     program: L1Program
     single_paths: np.ndarray
     pair_array: np.ndarray
@@ -94,7 +91,6 @@ class EquationTemplate:
             topology,
             correlation,
             None,
-            selection=options.selection,
             max_pair_candidates=options.max_pair_candidates,
             pair_order_seed=options.pair_order_seed,
             prepared=prepared,
@@ -105,7 +101,6 @@ class EquationTemplate:
         paths = [row.paths for row in system.rows]
         return cls(
             topology=topology,
-            options=options,
             program=L1Program(matrix),
             single_paths=np.array(
                 [row[0] for row in paths[: system.n_single]],
@@ -155,9 +150,7 @@ class EquationTemplate:
         answer, and the shared template holds none.
         """
         values = self.values(measurements)
-        solution, solver_used = solve(
-            self.program, values, method=self.options.solver, warm=warm
-        )
+        solution, solver_used = solve(self.program, values, warm=warm)
         # Round-off can leave tiny positive log-probabilities.
         solution = np.minimum(solution, 0.0)
         probabilities = np.clip(1.0 - np.exp(solution), 0.0, 1.0)

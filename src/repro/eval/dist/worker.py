@@ -342,7 +342,13 @@ class WorkerServer:
         return f"{self.host}:{self.port}"
 
     def close(self) -> None:
+        """Stop accepting; wakes a :meth:`serve_forever` parked in
+        ``accept`` (closing the descriptor alone does not on Linux)."""
         self._closed = True
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not listening any more, or already closed
         try:
             self._server.close()
         except OSError:

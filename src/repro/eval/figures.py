@@ -15,7 +15,7 @@ Each driver regenerates the data series behind one paper figure:
 ``scale="medium"`` and ``scale="paper"`` approach the paper's 1500-path
 setups.  The *shape* of the results — the correlation algorithm beating
 the independence algorithm, errors growing with congestion for the
-baseline only — is preserved across scales; see EXPERIMENTS.md.
+baseline only — is preserved across scales.
 
 Every driver accepts ``workers``: trials (and, for the sweep, whole
 x-axis points) fan out through the scenario engine in

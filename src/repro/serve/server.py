@@ -505,26 +505,28 @@ class TomographyService:
         }
 
     async def _load_topology(self, payload: dict) -> tuple[int, dict]:
+        loop = asyncio.get_running_loop()
+        # Generation + prep warm-up can take seconds on big instances;
+        # both run off the event loop so other connections stay served.
+        entry, created = await loop.run_in_executor(
+            None, self._generate_and_load, payload
+        )
+        return (201 if created else 200), entry.describe()
+
+    def _generate_and_load(self, payload: dict):
+        """Build the payload's instance and load it (executor thread)."""
         try:
             instance = instance_from_payload(payload)
         except (ValueError, KeyError, TypeError) as exc:
             raise _HttpError(400, f"bad topology payload: {exc}") from None
-        loop = asyncio.get_running_loop()
         try:
-            # Generation + prep warm-up can take seconds on big
-            # instances; keep the event loop responsive meanwhile.
-            entry, created = await loop.run_in_executor(
-                None,
-                functools.partial(
-                    self.store.load,
-                    instance,
-                    name=payload.get("name"),
-                    make_batcher=self._make_batcher,
-                ),
+            return self.store.load(
+                instance,
+                name=payload.get("name"),
+                make_batcher=self._make_batcher,
             )
         except StoreFull as exc:
             raise _HttpError(409, str(exc)) from None
-        return (201 if created else 200), entry.describe()
 
     async def _query(
         self, fingerprint: str, query: dict, kind: str | None

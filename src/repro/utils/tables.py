@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper plots; this
 module renders them as aligned ASCII tables so the output is readable in a
-terminal and diff-able in EXPERIMENTS.md.
+terminal and diff-able between runs.
 """
 
 from __future__ import annotations

@@ -172,14 +172,11 @@ def rebuilt_log_good():
             instance.topology,
             instance.correlation,
             measurements,
-            selection=options.selection,
             max_pair_candidates=options.max_pair_candidates,
             pair_order_seed=options.pair_order_seed,
             registry=registry,
         )
-        solution, solver_used = solve(
-            *system.sparse_matrix(), method=options.solver
-        )
+        solution, solver_used = solve(*system.sparse_matrix())
         return np.minimum(solution, 0.0), solver_used, system
 
     return rebuild

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.correlation import CorrelationStructure
 from repro.core.correlation_algorithm import (
-    AlgorithmOptions,
     CorrelationTomography,
     infer_congestion,
 )
@@ -52,31 +51,6 @@ class TestNoiseFreeInference:
             algorithm_label="custom",
         )
         assert result.algorithm == "custom"
-
-
-class TestOptions:
-    def test_least_squares_option(self, instance_1a, oracle_1a, truth_1a):
-        result = infer_congestion(
-            instance_1a.topology,
-            instance_1a.correlation,
-            oracle_1a,
-            options=AlgorithmOptions(solver="least_squares"),
-        )
-        assert result.solver == "least_squares"
-        assert np.allclose(
-            result.congestion_probabilities, truth_1a, atol=1e-4
-        )
-
-    def test_all_selection(self, instance_1a, oracle_1a, truth_1a):
-        result = infer_congestion(
-            instance_1a.topology,
-            instance_1a.correlation,
-            oracle_1a,
-            options=AlgorithmOptions(selection="all"),
-        )
-        assert np.allclose(
-            result.congestion_probabilities, truth_1a, atol=1e-6
-        )
 
 
 class TestNoisyInference:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.correlation import CorrelationStructure
 from repro.core.equations import build_equations
+from repro.core.prepared import PreparedTopology
 from repro.exceptions import SolverError
 
 
@@ -75,31 +76,6 @@ class TestFig1aSystem:
 
 
 class TestSelectionModes:
-    def test_all_mode_keeps_redundant_rows(self, instance_1a, oracle_1a):
-        independent = build_equations(
-            instance_1a.topology,
-            instance_1a.correlation,
-            oracle_1a,
-            selection="independent",
-        )
-        everything = build_equations(
-            instance_1a.topology,
-            instance_1a.correlation,
-            oracle_1a,
-            selection="all",
-        )
-        assert everything.n_single >= independent.n_single
-        assert everything.rank == independent.rank
-
-    def test_invalid_selection_rejected(self, instance_1a, oracle_1a):
-        with pytest.raises(ValueError, match="selection"):
-            build_equations(
-                instance_1a.topology,
-                instance_1a.correlation,
-                oracle_1a,
-                selection="bogus",
-            )
-
     def test_pair_candidate_cap(self, instance_1a, oracle_1a):
         system = build_equations(
             instance_1a.topology,
@@ -170,20 +146,17 @@ class TestCorrelationFiltering:
 
 
 class TestSharedLinkPairEnumeration:
-    def test_disjoint_pairs_never_examined(self, instance_1a, oracle_1a):
+    def test_disjoint_pairs_never_examined(self, instance_1a):
         """Pairs without shared links are provably redundant given the
-        single-path rows; the builder must not emit them."""
-        system = build_equations(
-            instance_1a.topology,
-            instance_1a.correlation,
-            oracle_1a,
-            selection="all",
+        single-path rows; the builder's candidate list (every pair it
+        may examine) holds none of them."""
+        prepared = PreparedTopology.build(
+            instance_1a.topology, instance_1a.correlation
         )
         topology = instance_1a.topology
-        for row in system.rows:
-            if row.kind == "pair":
-                a, b = row.paths
-                shared = set(topology.paths[a].link_ids) & set(
-                    topology.paths[b].link_ids
-                )
-                assert shared
+        assert prepared.candidates.shape[0] > 0
+        for a, b in prepared.candidates.tolist():
+            shared = set(topology.paths[a].link_ids) & set(
+                topology.paths[b].link_ids
+            )
+            assert shared

@@ -83,14 +83,6 @@ class TestBaselineUnderCorrelation:
 
 
 class TestSinglePathVariant:
-    def test_solver_selection(self, instance_1a, oracle_1a):
-        for solver in ("l1", "min_norm", "least_squares"):
-            result = infer_congestion_single_path(
-                instance_1a.topology, oracle_1a, solver=solver
-            )
-            assert result.solver == solver
-            assert result.algorithm == "nguyen_thiran"
-
     def test_rank_reported(self, instance_1a, oracle_1a):
         result = infer_congestion_single_path(
             instance_1a.topology, oracle_1a

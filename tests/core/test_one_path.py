@@ -89,46 +89,17 @@ class TestOneBuildPerPreparedTopology:
             log_good, _, _ = rebuilt_log_good(instance, observations)
             assert result.log_good.tobytes() == log_good.tobytes()
 
-    def test_solver_choice_reuses_the_structure(
-        self, instance, build_count, rebuilt_log_good
-    ):
-        registry = PreparedRegistry()
-        observations = batches(instance, 1)[0]
-        solvers = ("l1", "least_squares", "l1")
-        results = [
-            infer_congestion(
-                instance.topology,
-                instance.correlation,
-                observations,
-                options=AlgorithmOptions(solver=solver),
-                registry=registry,
-            )
-            for solver in solvers
-        ]
-        assert len(build_count) == 1
-        for solver, result in zip(solvers, results):
-            fresh = EquationTemplate.build(
-                instance.topology,
-                instance.correlation,
-                options=AlgorithmOptions(solver=solver),
-                registry=PreparedRegistry(),
-            ).infer(observations)
-            assert result.solver == solver
-            assert result_bits(result) == result_bits(fresh)
-            log_good, _, _ = rebuilt_log_good(
-                instance, observations, solver=solver
-            )
-            assert result.log_good.tobytes() == log_good.tobytes()
-
     def test_structure_options_get_their_own_template(self, instance):
         prepared = PreparedTopology.build(
             instance.topology, instance.correlation
         )
-        independent = prepared.template(AlgorithmOptions())
-        everything = prepared.template(AlgorithmOptions(selection="all"))
-        assert independent is prepared.template(AlgorithmOptions())
-        assert everything is not independent
-        assert everything.n_rows >= independent.n_rows
+        default = prepared.template(AlgorithmOptions())
+        capped = prepared.template(AlgorithmOptions(max_pair_candidates=0))
+        assert default is prepared.template(AlgorithmOptions())
+        assert capped is not default
+        assert default.n_pair > 0
+        assert capped.n_pair == 0
+        assert capped.n_single == default.n_single
 
 
 class TestConcurrentFirstCall:

@@ -1,16 +1,11 @@
-"""Unit tests for the linear-system solvers."""
+"""Unit tests for the linear-system solvers: the paper's L1 program and
+the baseline's minimum-norm least squares."""
 
 import numpy as np
 import pytest
 
-from repro.core.solvers import (
-    L1Program,
-    WarmStart,
-    solve,
-    solve_bounded_least_squares,
-    solve_l1,
-    solve_min_norm_least_squares,
-)
+from repro.core.nguyen_thiran import solve_min_norm_least_squares
+from repro.core.solvers import L1Program, WarmStart, solve, solve_l1
 from repro.exceptions import SolverError
 
 
@@ -81,44 +76,17 @@ class TestMinNormLeastSquares:
         assert solution[1] == 0.0
 
 
-class TestBoundedLeastSquares:
-    def test_exact_system(self):
-        matrix = np.array([[1.0, 0.0], [1.0, 1.0]])
-        target = np.array([-0.5, -0.8])
-        solution = solve_bounded_least_squares(matrix, target)
-        assert np.allclose(matrix @ solution, target, atol=1e-6)
-
-    def test_bound_active(self):
-        matrix = np.array([[1.0]])
-        target = np.array([0.4])
-        solution = solve_bounded_least_squares(matrix, target)
-        assert solution[0] <= 1e-9
-
-    def test_uncovered_columns_zeroed(self):
-        matrix = np.array([[1.0, 0.0], [1.0, 0.0]])
-        target = np.array([-0.5, -0.6])
-        solution = solve_bounded_least_squares(matrix, target)
-        assert solution[1] == 0.0
-
-
-class TestDispatch:
-    def test_named_solvers(self):
-        matrix = np.array([[1.0]])
-        target = np.array([-1.0])
-        for method in ("l1", "least_squares", "min_norm"):
-            solution, used = solve(matrix, target, method=method)
-            assert used == method
-            assert np.isclose(solution[0], -1.0, atol=1e-6)
-
-    def test_auto_prefers_l1(self):
-        _, used = solve(
-            np.array([[1.0]]), np.array([-1.0]), method="auto"
-        )
-        assert used == "l1"
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(SolverError, match="unknown solver"):
-            solve(np.array([[1.0]]), np.array([-1.0]), method="magic")
+class TestSolve:
+    def test_solve_is_the_l1_program(self):
+        """The one entry returns the L1 answer, named ``"l1"``, for a
+        matrix and for its lifted program alike."""
+        matrix = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        target = np.array([-0.5, -0.8, -0.4])
+        expected = solve_l1(matrix, target).tobytes()
+        for lifted in (matrix, L1Program(matrix)):
+            solution, used = solve(lifted, target)
+            assert used == "l1"
+            assert solution.tobytes() == expected
 
 
 class TestHighsFailures:
@@ -127,7 +95,8 @@ class TestHighsFailures:
     @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
     )
-    def test_non_finite_y_raises_and_auto_falls_back(self, bad):
+    def test_non_finite_y_raises(self, bad):
+        """No entry falls back to another objective: each raises."""
         matrix = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         program = L1Program(matrix)
         values = np.array([-0.5, bad, -0.3])
@@ -136,8 +105,8 @@ class TestHighsFailures:
         with pytest.raises(SolverError):
             solve_l1(matrix, values)
         for lifted in (matrix, program):
-            _, used = solve(lifted, values, method="auto")
-            assert used == "least_squares"
+            with pytest.raises(SolverError):
+                solve(lifted, values)
 
     @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.solvers import (
+from repro.core.nguyen_thiran import (
     min_norm_least_squares_with_rank,
-    solve,
-    solve_bounded_least_squares,
-    solve_l1,
     solve_min_norm_least_squares,
 )
+from repro.core.solvers import solve, solve_l1
 from repro.exceptions import SolverError
 
 
@@ -44,16 +42,6 @@ class TestSparseL1:
 
 
 class TestSparseLeastSquares:
-    @pytest.mark.parametrize("n_cols", [20, 500])
-    def test_sparse_and_dense_agree(self, n_cols):
-        """Covers both the BVLS (dense) and TRF (sparse-native) paths."""
-        matrix, values = random_system(5, n_rows=40, n_cols=n_cols)
-        dense = solve_bounded_least_squares(matrix, values)
-        via_sparse = solve_bounded_least_squares(
-            sparse.csr_matrix(matrix), values
-        )
-        assert np.allclose(dense, via_sparse, atol=1e-8)
-
     def test_min_norm_accepts_sparse(self):
         matrix, values = random_system(6)
         dense = solve_min_norm_least_squares(matrix, values)
@@ -80,13 +68,11 @@ class TestMinNormRank:
 
 class TestDispatch:
     def test_solve_dispatches_sparse(self):
+        """``solve`` hands sparse input to the L1 program unchanged."""
         matrix, values = random_system(8)
-        for method in ("l1", "least_squares", "min_norm", "auto"):
-            dense_solution, dense_used = solve(
-                matrix, values, method=method
-            )
-            sparse_solution, sparse_used = solve(
-                sparse.csr_matrix(matrix), values, method=method
-            )
-            assert dense_used == sparse_used
-            assert np.allclose(dense_solution, sparse_solution, atol=1e-8)
+        dense_solution, dense_used = solve(matrix, values)
+        sparse_solution, sparse_used = solve(
+            sparse.csr_matrix(matrix), values
+        )
+        assert dense_used == sparse_used == "l1"
+        assert np.array_equal(dense_solution, sparse_solution)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.correlation_algorithm import (
-    AlgorithmOptions,
     CorrelationTomography,
     infer_congestion,
 )
@@ -29,9 +28,6 @@ def windows_1a(instance_1a, model_1a):
     return [window.path_states for window in stream.windows(5)]
 
 
-SOLVERS = ("l1", "least_squares", "auto")
-
-
 def assert_matches_rebuild(result, rebuilt):
     """``result`` equals the full-rebuild answer byte for byte."""
     log_good, solver_used, _ = rebuilt
@@ -45,43 +41,31 @@ def assert_matches_rebuild(result, rebuilt):
 
 
 class TestEquationTemplate:
-    @pytest.mark.parametrize("selection", ["independent", "all"])
     def test_infer_is_bit_identical_to_batch(
-        self, instance_1a, windows_1a, rebuilt_log_good, selection
+        self, instance_1a, windows_1a, rebuilt_log_good
     ):
-        """Template and ``infer_congestion`` both equal a full rebuild,
-        for every solver."""
+        """Template and ``infer_congestion`` both equal a full rebuild."""
         observations = PathObservations(
             np.concatenate(windows_1a, axis=0)
         )
-        for solver in SOLVERS:
-            options = AlgorithmOptions(selection=selection, solver=solver)
-            template = EquationTemplate.build(
+        template = EquationTemplate.build(
+            instance_1a.topology, instance_1a.correlation
+        )
+        rebuilt = rebuilt_log_good(
+            instance_1a, observations, registry=PreparedRegistry()
+        )
+        # Eq.-10 rows are present, so the template's row order matters.
+        assert rebuilt[2].n_pair > 0
+        assert_matches_rebuild(template.infer(observations), rebuilt)
+        assert_matches_rebuild(
+            infer_congestion(
                 instance_1a.topology,
                 instance_1a.correlation,
-                options=options,
-            )
-            rebuilt = rebuilt_log_good(
-                instance_1a,
                 observations,
                 registry=PreparedRegistry(),
-                selection=selection,
-                solver=solver,
-            )
-            # Eq.-10 rows are present, so the template's row order
-            # matters.
-            assert rebuilt[2].n_pair > 0
-            assert_matches_rebuild(template.infer(observations), rebuilt)
-            assert_matches_rebuild(
-                infer_congestion(
-                    instance_1a.topology,
-                    instance_1a.correlation,
-                    observations,
-                    options=options,
-                    registry=PreparedRegistry(),
-                ),
-                rebuilt,
-            )
+            ),
+            rebuilt,
+        )
 
     def test_structure_is_reused_across_windows(
         self, instance_1a, windows_1a, rebuilt_log_good
@@ -111,22 +95,16 @@ class TestCorrelationTomographyUpdate:
     def test_update_matches_infer(
         self, instance_1a, windows_1a, rebuilt_log_good
     ):
-        """``update`` and ``infer`` both equal a full rebuild, for every
-        solver."""
-        for solver in SOLVERS:
-            engine = CorrelationTomography(
-                instance_1a.topology,
-                instance_1a.correlation,
-                options=AlgorithmOptions(solver=solver),
-            )
-            observations = PathObservations(windows_1a[0])
-            for window in windows_1a[1:]:
-                observations.append_window(window)
-                rebuilt = rebuilt_log_good(
-                    instance_1a, observations, solver=solver
-                )
-                assert_matches_rebuild(engine.update(observations), rebuilt)
-                assert_matches_rebuild(engine.infer(observations), rebuilt)
+        """``update`` and ``infer`` both equal a full rebuild."""
+        engine = CorrelationTomography(
+            instance_1a.topology, instance_1a.correlation
+        )
+        observations = PathObservations(windows_1a[0])
+        for window in windows_1a[1:]:
+            observations.append_window(window)
+            rebuilt = rebuilt_log_good(instance_1a, observations)
+            assert_matches_rebuild(engine.update(observations), rebuilt)
+            assert_matches_rebuild(engine.infer(observations), rebuilt)
 
 
 class TestStreamingTomography:

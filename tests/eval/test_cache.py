@@ -1,5 +1,6 @@
 """The persistent trial-result cache: keys, storage, engine integration."""
 
+import dataclasses
 import json
 import threading
 
@@ -58,7 +59,32 @@ class TestKeyDerivation:
             fp,
             task,
             config=FAST,
-            options=AlgorithmOptions(selection="all"),
+            options=AlgorithmOptions(max_pair_candidates=1000),
+        )
+
+    def test_key_differs_from_the_four_field_options_doc(
+        self, planetlab_small
+    ):
+        """Keys of builds whose options also named ``selection`` and
+        ``solver`` (always at these defaults) hashed a four-field doc;
+        today's two-field doc keys differently, so such an entry is a
+        miss, never served under a new key."""
+
+        @dataclasses.dataclass(frozen=True)
+        class FourFieldOptions:
+            selection: str = "independent"
+            solver: str = "l1"
+            max_pair_candidates: int = 200_000
+            pair_order_seed: int | None = 0
+
+        fp = instance_fingerprint(planetlab_small)
+        task = _tasks()[0]
+        assert dataclasses.asdict(AlgorithmOptions()) == {
+            "max_pair_candidates": 200_000,
+            "pair_order_seed": 0,
+        }
+        assert trial_key(fp, task, config=FAST) != trial_key(
+            fp, task, config=FAST, options=FourFieldOptions()
         )
 
     def test_default_config_and_options_canonicalise(self, planetlab_small):

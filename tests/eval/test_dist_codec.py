@@ -1,5 +1,6 @@
 """The dist wire codec: JSON frames, context/task codecs, rng specs."""
 
+import json
 import socket
 
 import numpy as np
@@ -144,6 +145,27 @@ class TestContextCodec:
     def test_missing_fingerprint_rejected(self):
         with pytest.raises(CodecError, match="fingerprint"):
             decode_context(b'{"codec": 1, "instance": {}}')
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"solver": "l1"},
+            {"selection": "independent"},
+            {"selection": "all", "solver": "least_squares"},
+        ],
+    )
+    def test_removed_option_fields_are_refused(
+        self, planetlab_small, removed
+    ):
+        """A context from a build whose options still named ``solver``
+        or ``selection`` is one clean CodecError, never a TypeError out
+        of the dataclass constructor."""
+        doc = json.loads(
+            encode_context((planetlab_small, None, AlgorithmOptions()))
+        )
+        doc["options"].update(removed)
+        with pytest.raises(CodecError, match=next(iter(removed))):
+            decode_context(json.dumps(doc).encode("utf-8"))
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,39 @@ class TestLocalLauncher:
         # failed; the launcher owns no processes any more.
         assert launcher.workers == []
 
+    def test_teardown_after_a_sweep_is_prompt_and_clean(
+        self, planetlab_small
+    ):
+        """Lifeline EOF ends a worker that has served a session at once:
+        no 2 s grace, no SIGTERM."""
+        teardowns = []
+
+        class TimedLauncher(LocalLauncher):
+            def shutdown(self, grace=5.0):
+                processes = [worker.process for worker in self.workers]
+                started = time.monotonic()
+                super().shutdown(grace)
+                if processes:
+                    teardowns.append(
+                        (
+                            time.monotonic() - started,
+                            [process.returncode for process in processes],
+                        )
+                    )
+
+        tasks = scenario_tasks(
+            "clustered", {"congested_fraction": 0.1}, n_trials=1, seed=41
+        )
+        run_scenario_tasks(
+            planetlab_small,
+            tasks,
+            config=FAST,
+            executor=RemoteExecutor(launcher=TimedLauncher(1)),
+        )
+        [(elapsed, returncodes)] = teardowns
+        assert returncodes == [0]
+        assert elapsed < 1.0
+
 
 class TestLifeline:
     def test_worker_exits_when_stdin_closes(self):

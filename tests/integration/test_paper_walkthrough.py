@@ -129,15 +129,19 @@ class TestSection4Equations:
         assert frozenset({"e2", "e3", "e4"}) in by_kind
 
     def test_equation_8_is_rejected(self, instance_1a, oracle_1a):
-        """The pair (P1, P2) would introduce x12 — never emitted."""
-        system = build_equations(
-            instance_1a.topology,
-            instance_1a.correlation,
-            oracle_1a,
-            selection="all",
-        )
+        """The pair (P1, P2) would introduce x12 — examined (the paths
+        share e3) but never eligible, so never emitted."""
+        from repro.core.prepared import PreparedTopology
+
         topology = instance_1a.topology
+        prepared = PreparedTopology.build(topology, instance_1a.correlation)
         p1, p2 = topology.path("P1").id, topology.path("P2").id
+        pairs = [set(pair) for pair in prepared.candidates.tolist()]
+        assert {p1, p2} in pairs
+        assert not prepared.pair_eligible[pairs.index({p1, p2})]
+        system = build_equations(
+            topology, instance_1a.correlation, oracle_1a
+        )
         for row in system.rows:
             assert set(row.paths) != {p1, p2}
 

@@ -55,14 +55,12 @@ def test_rank_never_exceeds_links(instance, data):
 @given(correlated_instances(), st.data())
 @RELAXED
 def test_independent_selection_rank_equals_row_count(instance, data):
-    """In "independent" mode every kept row increases the rank, so the
+    """Every kept row increases the rank (the paper's selection), so the
     row count equals the rank exactly."""
     topology, correlation = instance
     model = data.draw(network_models(correlation))
     oracle = ExactPathStateDistribution.from_model(topology, model)
-    system = build_equations(
-        topology, correlation, oracle, selection="independent"
-    )
+    system = build_equations(topology, correlation, oracle)
     assert len(system.rows) == system.rank
 
 

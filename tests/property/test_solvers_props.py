@@ -11,13 +11,13 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.core.nguyen_thiran import solve_min_norm_least_squares
 from repro.core.solvers import (
     _TIE_BREAK,
     L1Program,
     WarmStart,
     _log_primes,
     solve_l1,
-    solve_min_norm_least_squares,
 )
 
 finite = st.floats(

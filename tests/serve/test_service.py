@@ -128,6 +128,41 @@ class TestEndpoints:
         assert f"{name}={too_big}" in str(excinfo.value)
         assert elapsed < 0.5
 
+    def test_health_answers_while_a_slow_load_runs(
+        self, service_harness, monkeypatch
+    ):
+        """Topology generation runs off the event loop: a load that
+        takes seconds does not hold up other connections."""
+        generating, release = threading.Event(), threading.Event()
+
+        def slow_generation(payload):
+            generating.set()
+            release.wait(timeout=10)
+            return instance_from_payload(payload)
+
+        monkeypatch.setattr(server, "instance_from_payload", slow_generation)
+        loaded = []
+        with service_harness() as running:
+
+            def load() -> None:
+                with running.client() as loader:
+                    loaded.append(loader.load_topology(generator=GENERATOR))
+
+            thread = threading.Thread(target=load)
+            thread.start()
+            try:
+                assert generating.wait(timeout=10)
+                with running.client() as probe:
+                    started = time.perf_counter()
+                    assert probe.health()["status"] == "ok"
+                    elapsed = time.perf_counter() - started
+            finally:
+                release.set()
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert elapsed < 1.0
+        assert len(loaded) == 1
+
     @pytest.mark.parametrize("value", ["40", 40.0, True, None])
     def test_non_integer_size_is_400(self, client, value):
         with pytest.raises(ServiceError) as excinfo:
