@@ -1780,20 +1780,22 @@ def _run_worker(args) -> int:
 
 
 def _run_serve(args) -> int:
-    import json
-
+    from repro.io import parse_json
     from repro.serve.registry import instance_from_payload
     from repro.serve.server import TomographyService, serve_forever
 
     preloads = []
     for spec in args.preload or ():
         try:
-            payload = json.loads(spec)
-        except json.JSONDecodeError as exc:
+            payload = parse_json(spec)
+        except ValueError as exc:
             raise SystemExit(f"error: --preload: invalid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise SystemExit("error: --preload must be a JSON object")
-        preloads.append(payload)
+        try:
+            preloads.append(instance_from_payload({"generator": payload}))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SystemExit(f"error: --preload: {exc}") from None
     service = TomographyService(
         host=args.bind,
         port=args.port,
@@ -1805,11 +1807,9 @@ def _run_serve(args) -> int:
     )
 
     def banner(svc) -> None:
-        for payload in preloads:
+        for instance in preloads:
             entry, _ = svc.store.load(
-                instance_from_payload({"generator": payload}),
-                name=payload.get("name"),
-                make_batcher=svc._make_batcher,
+                instance, name=None, make_batcher=svc._make_batcher
             )
             print(f"preloaded {entry.fingerprint}", flush=True)
         # Machine-parseable, like the dist worker's "listening on" line:
@@ -1825,14 +1825,13 @@ def _run_serve(args) -> int:
 
 def _instance_from_flags(args):
     """Resolve the instance named by the ``_instance_arguments`` flags."""
-    import json
-
+    from repro.io import parse_json
     from repro.serve.registry import instance_from_payload
 
     if args.generator is not None:
         try:
-            generator = json.loads(args.generator)
-        except json.JSONDecodeError as exc:
+            generator = parse_json(args.generator)
+        except ValueError as exc:
             raise SystemExit(
                 f"error: --generator: invalid JSON: {exc}"
             ) from None
@@ -1890,7 +1889,7 @@ def _run_localize(args) -> int:
 
 def _file_windows(path):
     """Yield raw window payloads from a JSONL file ('-' = stdin)."""
-    import json
+    from repro.io import parse_json
 
     handle = sys.stdin if path == "-" else open(path, encoding="utf-8")
     try:
@@ -1898,8 +1897,8 @@ def _file_windows(path):
             if not line.strip():
                 continue
             try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
+                yield parse_json(line)
+            except ValueError as exc:
                 raise SystemExit(
                     f"error: --windows line {number}: invalid JSON: {exc}"
                 ) from None
@@ -1910,12 +1909,12 @@ def _file_windows(path):
 
 def _simulated_windows(args, instance):
     """Yield path-state matrices from a scripted SnapshotStream."""
-    import json
-
     from repro.eval.scenario import (
         make_clustered_scenario,
         resolve_per_set_range,
     )
+    from repro.exceptions import SimulationError
+    from repro.io import parse_json
     from repro.model.loss import LossModel
     from repro.simulate.probes import PathProber, ProbeConfig
     from repro.simulate.stream import LinkStateTimeline, SnapshotStream
@@ -1924,11 +1923,12 @@ def _simulated_windows(args, instance):
     timeline = None
     if args.events is not None:
         try:
-            specs = json.loads(args.events)
+            specs = parse_json(args.events)
             if not isinstance(specs, list):
                 raise ValueError("expected a JSON list of event objects")
             timeline = LinkStateTimeline.from_specs(specs)
-        except (json.JSONDecodeError, ValueError) as exc:
+            timeline.check_links(instance.topology.n_links)
+        except (ValueError, SimulationError) as exc:
             raise SystemExit(f"error: --events: {exc}") from None
     scenario_seed, stream_seed = spawn_children(args.seed, 2)
     scenario = make_clustered_scenario(
@@ -1959,7 +1959,6 @@ def _run_stream(args) -> int:
 
     from repro.core.correlation_algorithm import infer_congestion
     from repro.core.streaming import StreamingTomography
-    from repro.exceptions import SimulationError
     from repro.io import canonical_json
     from repro.serve.queries import encode_vectors
     from repro.serve.stream import decode_window, verdict_delta
@@ -1973,10 +1972,7 @@ def _run_stream(args) -> int:
     instance = _instance_from_flags(args)
     n_paths = instance.topology.n_paths
     if args.simulate:
-        try:
-            source = _simulated_windows(args, instance)
-        except SimulationError as exc:
-            raise SystemExit(f"error: --events: {exc}") from None
+        source = _simulated_windows(args, instance)
     else:
         source = _file_windows(args.windows)
     saver = (
@@ -2061,8 +2057,7 @@ def _run_stream(args) -> int:
 
 def _load_demand(args):
     """Parse the --demand file into a DemandMatrix (SystemExit on junk)."""
-    import json
-
+    from repro.io import parse_json
     from repro.predict.demand import DemandMatrix
 
     if args.demand == "-":
@@ -2074,8 +2069,8 @@ def _load_demand(args):
         except OSError as exc:
             raise SystemExit(f"error: --demand: {exc}") from None
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = parse_json(text)
+    except ValueError as exc:
         raise SystemExit(f"error: --demand: invalid JSON: {exc}") from None
     try:
         return DemandMatrix.from_payload(payload)

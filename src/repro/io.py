@@ -42,6 +42,7 @@ __all__ = [
     "load_instance",
     "canonical_json",
     "instance_fingerprint",
+    "parse_json",
 ]
 
 _FORMAT = "repro-instance"
@@ -86,12 +87,14 @@ def instance_to_dict(instance: TomographyInstance) -> dict:
 
 
 def _jsonable_metadata(metadata: dict) -> dict:
-    """Best-effort metadata coercion: drop entries JSON cannot carry."""
+    """Best-effort metadata coercion: stringify entries JSON cannot
+    carry (non-finite floats included, which :func:`parse_json` would
+    refuse on the way back)."""
     cleaned = {}
     for key, value in metadata.items():
         try:
-            json.dumps(value)
-        except TypeError:
+            json.dumps(value, allow_nan=False)
+        except (TypeError, ValueError):
             cleaned[str(key)] = str(value)
         else:
             cleaned[str(key)] = value
@@ -161,7 +164,26 @@ def save_instance(instance: TomographyInstance, path) -> None:
 def load_instance(path) -> TomographyInstance:
     """Read an instance from a JSON file."""
     path = pathlib.Path(path)
-    return instance_from_dict(json.loads(path.read_text()))
+    return instance_from_dict(parse_json(path.read_text()))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite constant {name} is not JSON")
+
+
+def parse_json(text):
+    """Parse JSON that came from outside the program.
+
+    ``NaN`` and ``Infinity`` are not JSON, though Python's parser takes
+    them; they are refused.  Nesting deeper than the parser's recursion
+    limit is refused too, as a ``ValueError`` rather than a
+    ``RecursionError``, so every caller's ``ValueError`` path (a 400, an
+    ``error:`` line) answers hostile input.
+    """
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _canonical_default(value):

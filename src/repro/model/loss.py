@@ -68,19 +68,28 @@ class LossModel:
         congested: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Per-link loss rates for one snapshot.
+        """Per-link loss rates for a batch of snapshots.
 
         Args:
-            congested: Boolean vector over link ids (True = congested this
-                snapshot).
-            rng: Random source.
+            congested: Boolean ``(snapshots, links)`` matrix (True =
+                congested that snapshot); a 1-D vector over link ids is
+                one snapshot.
+            rng: Random source; one uniform per entry, in row order, so
+                a ``(b, n)`` call draws exactly what ``b`` one-row calls
+                draw.
 
         Returns:
-            Float vector of loss rates: good links in ``(0, t_l]``,
-            congested links in ``(t_l, 1]``.
+            Loss rates of ``congested``'s shape: good links in
+            ``(0, t_l]``, congested links in ``(t_l, 1]``.
         """
         congested = np.asarray(congested, dtype=bool)
-        uniform = rng.random(congested.shape[0])
-        good_rates = uniform * self._threshold
-        congested_rates = self._threshold + uniform * (1.0 - self._threshold)
-        return np.where(congested, congested_rates, good_rates)
+        rates = rng.random(congested.shape)
+        # Congested entries are sparse: rewrite only those, then scale
+        # the buffer by t_l in place (the same values as the dense
+        # ``np.where`` of the two regimes, without its two temporaries).
+        congested_rates = self._threshold + rates[congested] * (
+            1.0 - self._threshold
+        )
+        rates *= self._threshold
+        rates[congested] = congested_rates
+        return rates

@@ -17,9 +17,10 @@ POST       ``/topologies/<fp>/identifiability``  Sugar: ``kind=identifiability``
 POST       ``/topologies/<fp>/stream``        Window uploads → chunked deltas
 =========  =================================  ===================================
 
-Status mapping: bad payloads (including ``NaN``/``Infinity`` literals and
-query parameters outside :func:`repro.serve.queries.validate_query`'s
-bounds) → 400, unknown topology/path → 404, store
+Status mapping: bad payloads (including ``NaN``/``Infinity`` literals,
+JSON nested too deeply to parse, and query parameters outside
+:func:`repro.serve.queries.validate_query`'s bounds) → 400, unknown
+topology/path → 404, store
 at capacity → 409, a request line or header line longer than
 :data:`MAX_LINE_BYTES` → 414 or 431, more than :data:`MAX_HEADERS`
 header lines → 431, header lines still incomplete
@@ -44,6 +45,7 @@ import signal
 import time
 
 from repro.eval.parallel import run_scenario_tasks
+from repro.io import parse_json
 from repro.serve.batching import BatcherClosed, BatcherFull, QueryBatcher
 from repro.serve.queries import encode_vectors, validate_query
 from repro.serve.registry import StoreFull, TopologyStore, instance_from_payload
@@ -86,12 +88,6 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
-
-
-def _refuse_constant(name: str):
-    """``NaN`` and ``Infinity`` are not JSON; Python's parser takes them
-    unless told otherwise."""
-    raise ValueError(f"non-finite constant {name} is not JSON")
 
 
 async def _read_line(reader, status: int, what: str) -> bytes:
@@ -422,7 +418,7 @@ class TomographyService:
         if not body:
             return {}
         try:
-            payload = json.loads(body, parse_constant=_refuse_constant)
+            payload = parse_json(body)
         except ValueError as exc:  # JSONDecodeError is one
             raise _HttpError(400, f"invalid JSON body: {exc}") from None
         if not isinstance(payload, dict):

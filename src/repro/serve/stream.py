@@ -47,7 +47,11 @@ class StepFailure:
 
 
 def decode_window(rows, n_paths: int) -> np.ndarray:
-    """Validate one uploaded window into a snapshot × path bool matrix."""
+    """Validate one uploaded window into a snapshot × path bool matrix.
+
+    Each verdict must be ``0``/``1`` or ``true``/``false``; anything
+    else (strings, floats, other integers) is refused, never coerced.
+    """
     states = np.asarray(rows)
     if states.ndim != 2 or states.dtype == object:
         raise ValueError(
@@ -60,6 +64,10 @@ def decode_window(rows, n_paths: int) -> np.ndarray:
             f"window rows have {states.shape[1]} paths, topology has "
             f"{n_paths}"
         )
+    if states.dtype.kind not in "biu" or (
+        states.dtype != bool and ((states != 0) & (states != 1)).any()
+    ):
+        raise ValueError("window verdicts must be 0/1 or true/false")
     return states.astype(bool)
 
 

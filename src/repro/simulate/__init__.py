@@ -8,7 +8,6 @@ from repro.simulate.experiment import (
 from repro.simulate.observations import PathObservations
 from repro.simulate.oracle import ExactPathStateDistribution
 from repro.simulate.probes import PathProber, ProbeConfig
-from repro.simulate.snapshot import SnapshotResult, simulate_snapshot
 from repro.simulate.stream import (
     LinkStateTimeline,
     ProbeWindow,
@@ -24,8 +23,6 @@ __all__ = [
     "ExactPathStateDistribution",
     "PathProber",
     "ProbeConfig",
-    "SnapshotResult",
-    "simulate_snapshot",
     "LinkStateTimeline",
     "ProbeWindow",
     "SnapshotStream",

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.topology import Topology
 from repro.model.loss import DEFAULT_LINK_THRESHOLD, LossModel
@@ -82,11 +81,13 @@ def run_experiment(
 ) -> SimulationRun:
     """Simulate ``N`` snapshots of the full measurement pipeline.
 
-    Per batch of rounds: draw network states from the congestion model,
-    loss rates from the loss model, exact per-path delivery probabilities
-    through the routing matrix, binomial probe outcomes, and threshold
-    verdicts — the vectorised equivalent of looping
-    :func:`repro.simulate.snapshot.simulate_snapshot`.
+    Per batch of rounds: network states from the congestion model
+    (``sample_states``), link loss rates (``LossModel.sample_loss_rates``)
+    and threshold verdicts from binomial probes (``PathProber.measure``)
+    — the same two calls :class:`repro.simulate.stream.SnapshotStream`
+    makes per snapshot.  The draw order differs from the stream's (whole
+    stages per batch, not whole rounds per snapshot), so the two give
+    the same distribution, not the same bytes.
     """
     config = config or ExperimentConfig()
     rng = as_generator(seed)
@@ -98,10 +99,6 @@ def run_experiment(
             link_threshold=config.link_threshold,
         ),
     )
-    routing = topology.routing_matrix_sparse()
-    thresholds = prober.path_thresholds
-    threshold = loss_model.link_threshold
-
     link_states = np.zeros(
         (config.n_snapshots, topology.n_links), dtype=bool
     )
@@ -113,30 +110,9 @@ def run_experiment(
     while done < config.n_snapshots:
         batch = min(config.batch_size, config.n_snapshots - done)
         states = network_model.sample_states(rng, batch)
-        # Loss rates: good U(0, t_l], congested U(t_l, 1] — batched form
-        # of LossModel.sample_loss_rates.  Congested entries are sparse,
-        # so scale everything by t_l in place and rewrite only the
-        # congested positions (bit-identical to the dense np.where form).
-        uniforms = rng.random((batch, topology.n_links))
-        loss = uniforms * threshold
-        loss[states] = threshold + uniforms[states] * (1.0 - threshold)
-        # log survival per path:  log Π (1 − loss) = Σ log1p(−loss);
-        # reuse the loss buffer for the element-wise stages.  The
-        # product is the one ``loss @ routing.T`` dispatches to, without
-        # building the transposed matrix every batch.
-        np.negative(loss, out=loss)
-        np.log1p(loss, out=loss)
-        log_survival = (routing @ loss.T).T
-        np.exp(log_survival, out=log_survival)
-        true_loss = np.subtract(1.0, log_survival, out=log_survival)
-        if config.packets_per_path is None:
-            measured = true_loss
-        else:
-            lost = rng.binomial(config.packets_per_path, true_loss)
-            measured = lost / config.packets_per_path
         link_states[done : done + batch] = states
-        np.greater(
-            measured, thresholds, out=path_states[done : done + batch]
+        path_states[done : done + batch] = prober.measure(
+            loss_model.sample_loss_rates(states, rng), rng
         )
         done += batch
 

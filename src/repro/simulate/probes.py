@@ -1,4 +1,4 @@
-"""Probing model: packets per path and measured path loss rates.
+"""Probing model: packets per path, measured loss, ``t_p`` verdicts.
 
 The paper's simulator sends "a given number of packets ... along each
 path" each round and flips a coin per packet per link.  Per-packet
@@ -8,10 +8,11 @@ path against the path's end-to-end delivery probability
     P(delivered) = Π_{k ∈ P_i} (1 − loss_k)
 
 since drops are independent Bernoulli events; we sample that binomial
-directly (exact, and orders of magnitude faster).  Setting
-``packets_per_path=None`` gives the infinite-traffic limit: the measured
-loss rate equals the true path loss rate (useful for isolating algorithm
-error from probing noise).
+directly (exact, and orders of magnitude faster), and keep only the
+verdict ``measured loss > t_p``.  Setting ``packets_per_path=None``
+gives the infinite-traffic limit: the measured loss rate equals the
+true path loss rate (useful for isolating algorithm error from probing
+noise).
 """
 
 from __future__ import annotations
@@ -73,11 +74,13 @@ def _path_thresholds(topology: Topology, link_threshold: float) -> np.ndarray:
 
 
 class PathProber:
-    """Vectorised per-snapshot path measurement.
+    """Vectorised path measurement.
 
     Takes the topology's sparse routing matrix and its per-path
-    congestion thresholds (both built once per topology); :meth:`measure` then turns a snapshot's link loss
-    rates into per-path congestion verdicts.
+    congestion thresholds (both built once per topology); :meth:`measure`
+    then turns link loss rates into per-path congestion verdicts.  It is
+    the simulator's only probe sampler: the batch driver and the
+    snapshot stream both call it.
     """
 
     def __init__(self, topology: Topology, config: ProbeConfig) -> None:
@@ -96,30 +99,42 @@ class PathProber:
         return self._thresholds
 
     def true_path_loss(self, loss_rates: np.ndarray) -> np.ndarray:
-        """Exact end-to-end loss rate per path given link loss rates."""
-        log_survival = self._routing @ np.log1p(-np.clip(loss_rates, 0.0, 1.0 - 1e-12))
-        return 1.0 - np.exp(log_survival)
+        """Exact end-to-end loss rate per path given link loss rates.
+
+        ``loss_rates`` is ``(snapshots, links)`` or one snapshot's
+        vector; the result is ``(snapshots, paths)`` or one vector.
+        """
+        # log survival per path:  log Π (1 − loss) = Σ log1p(−loss),
+        # element-wise stages in one fresh buffer.  The product is the
+        # one ``loss @ routing.T`` dispatches to, without building the
+        # transposed matrix; for one row it is a plain matvec.
+        log_survival = np.negative(np.asarray(loss_rates, dtype=np.float64))
+        np.log1p(log_survival, out=log_survival)
+        log_survival = (self._routing @ log_survival.T).T
+        np.exp(log_survival, out=log_survival)
+        return np.subtract(1.0, log_survival, out=log_survival)
 
     def measure(
         self,
         loss_rates: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure one snapshot.
+    ) -> np.ndarray:
+        """Probe every path and return its congestion verdicts.
 
         Args:
-            loss_rates: Per-link loss rates for the snapshot.
-            rng: Random source (used only with finite packet budgets).
+            loss_rates: Per-link loss rates, ``(snapshots, links)`` or
+                one snapshot's vector.
+            rng: Random source (used only with finite packet budgets):
+                one binomial per path entry, in row order, so a
+                ``(b, n)`` call draws exactly what ``b`` one-row calls
+                draw.
 
         Returns:
-            ``(measured_loss, congested)`` — per-path measured loss rates
-            and boolean congestion verdicts (``measured_loss > t_p``).
+            Boolean verdicts ``measured_loss > t_p``: ``(snapshots,
+            paths)``, or one vector for one snapshot.
         """
-        true_loss = self.true_path_loss(np.asarray(loss_rates, dtype=np.float64))
+        measured = self.true_path_loss(loss_rates)
         packets = self._config.packets_per_path
-        if packets is None:
-            measured = true_loss
-        else:
-            lost = rng.binomial(packets, true_loss)
-            measured = lost / packets
-        return measured, measured > self._thresholds
+        if packets is not None:
+            measured = rng.binomial(packets, measured) / packets
+        return measured > self._thresholds

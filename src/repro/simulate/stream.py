@@ -2,10 +2,11 @@
 
 The paper's simulator produces one complete batch of snapshots; continuous
 monitoring consumes the same rounds as a *stream* of windows.
-:class:`SnapshotStream` emits :class:`ProbeWindow` batches, each snapshot
-sampled exactly like :func:`repro.simulate.snapshot.simulate_snapshot`
-(which is literally re-expressed as the single-window special case of this
-stream) — draw a network state, assign loss rates, probe every path.
+:class:`SnapshotStream` emits :class:`ProbeWindow` batches, one round per
+snapshot (paper Section 5): draw a network state, assign loss rates
+(``LossModel.sample_loss_rates``), probe every path and threshold its
+measured loss (``PathProber.measure``) — the two calls the batch driver
+:func:`repro.simulate.experiment.run_experiment` makes per batch.
 
 On top of the stationary congestion model, a :class:`LinkStateTimeline`
 scripts non-stationary behaviour by snapshot index:
@@ -94,7 +95,12 @@ class StreamEvent:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "StreamEvent":
-        """Build from a JSON-style dict (the CLI/service wire shape)."""
+        """Build from a JSON-style dict (the CLI/service wire shape);
+        any malformed spec is a :class:`SimulationError`."""
+        if not isinstance(spec, dict):
+            raise SimulationError(
+                f"event spec must be an object, got {type(spec).__name__}"
+            )
         known = {"kind", "at", "links", "probability", "until", "period"}
         unknown = set(spec) - known
         if unknown:
@@ -107,11 +113,13 @@ class StreamEvent:
             kwargs["kind"] = str(kwargs["kind"])
             kwargs["at"] = int(kwargs["at"])
             kwargs["links"] = tuple(int(k) for k in kwargs["links"])
+            return cls(**kwargs)
         except KeyError as error:
             raise SimulationError(
                 f"event spec missing required field {error}"
             ) from None
-        return cls(**kwargs)
+        except (TypeError, ValueError) as error:
+            raise SimulationError(f"malformed event spec: {error}") from None
 
     def active(self, index: int) -> bool:
         """Whether the event affects snapshot ``index`` at all."""
@@ -197,8 +205,6 @@ class ProbeWindow:
         index: Window sequence number (0-based).
         start: Global snapshot index of the window's first row.
         link_states: Ground-truth snapshot × link congestion matrix.
-        loss_rates: Per-link loss rates per snapshot.
-        path_loss: Measured per-path loss rates per snapshot.
         path_states: Snapshot × path congestion verdicts — the rows fed
             to :meth:`PathObservations.append_window`.
     """
@@ -206,8 +212,6 @@ class ProbeWindow:
     index: int
     start: int
     link_states: np.ndarray
-    loss_rates: np.ndarray
-    path_loss: np.ndarray
     path_states: np.ndarray
 
     @property
@@ -225,10 +229,9 @@ class SnapshotStream:
     """A resumable stream of simulation windows.
 
     Iterating (or calling :meth:`next_window`) advances a single RNG
-    through full simulation rounds, so consuming the stream in windows of
-    any size yields the identical snapshot sequence — ``window_size=1``
-    is exactly :func:`repro.simulate.snapshot.simulate_snapshot` round by
-    round.
+    through full simulation rounds, one snapshot at a time (state,
+    timeline, loss rates, probes), so consuming the stream in windows of
+    any size yields the identical snapshot sequence.
 
     Attributes:
         network_model: Stationary congestion model sampled per snapshot.
@@ -270,26 +273,19 @@ class SnapshotStream:
         n_links = self.network_model.n_links
         n_paths = len(self.prober.path_thresholds)
         link_states = np.zeros((size, n_links), dtype=bool)
-        loss_rates = np.zeros((size, n_links), dtype=np.float64)
-        path_loss = np.zeros((size, n_paths), dtype=np.float64)
         path_states = np.zeros((size, n_paths), dtype=bool)
         for row in range(size):
-            index = self._cursor + row
             states = self.network_model.sample_indicator(self.rng)
             if self.timeline is not None:
-                self.timeline.apply(states, index, self.rng)
-            rates = self.loss_model.sample_loss_rates(states, self.rng)
-            measured, congested = self.prober.measure(rates, self.rng)
+                self.timeline.apply(states, self._cursor + row, self.rng)
             link_states[row] = states
-            loss_rates[row] = rates
-            path_loss[row] = measured
-            path_states[row] = congested
+            path_states[row] = self.prober.measure(
+                self.loss_model.sample_loss_rates(states, self.rng), self.rng
+            )
         window = ProbeWindow(
             index=self._window_index,
             start=self._cursor,
             link_states=link_states,
-            loss_rates=loss_rates,
-            path_loss=path_loss,
             path_states=path_states,
         )
         self._cursor += size

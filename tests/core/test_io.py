@@ -9,6 +9,7 @@ from repro.io import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    parse_json,
     save_instance,
 )
 
@@ -59,6 +60,17 @@ class TestRoundTrip:
         payload = instance_to_dict(patched)
         assert isinstance(payload["metadata"]["odd"], str)
 
+    def test_non_finite_metadata_round_trips_as_text(
+        self, instance_1a, tmp_path
+    ):
+        from dataclasses import replace
+
+        patched = replace(instance_1a, metadata={"odd": float("nan")})
+        save_instance(patched, tmp_path / "instance.json")
+        assert load_instance(tmp_path / "instance.json").metadata == {
+            "odd": "nan"
+        }
+
 
 class TestValidation:
     def test_wrong_format_rejected(self):
@@ -84,6 +96,29 @@ class TestValidation:
         payload["paths"][0]["links"] = ["e1", "e4"]  # not contiguous
         with pytest.raises(TopologyError):
             instance_from_dict(payload)
+
+
+class TestParseJson:
+    @pytest.mark.parametrize("text", ["[NaN]", '{"a": Infinity}', "-Infinity"])
+    def test_non_finite_constants_refused(self, text):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_json(text)
+
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    def test_deep_nesting_is_a_value_error(self, opener):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_json(opener * 200_000)
+
+    def test_plain_json_parses(self):
+        assert parse_json(b'{"a": [1, 2.5, true, null]}') == {
+            "a": [1, 2.5, True, None]
+        }
+
+    def test_instance_file_gets_the_same_refusals(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_instance(path)
 
 
 class TestInferenceOnReloadedInstance:

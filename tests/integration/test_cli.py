@@ -1,6 +1,11 @@
 """Integration tests for the command-line interface."""
 
 import argparse
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -476,3 +481,73 @@ class TestExecution:
         )
         assert exit_code == 0
         assert "cdf[independence]" in capsys.readouterr().out
+
+
+#: A generator spec the reading commands accept, for the cases where
+#: another flag carries the hostile JSON.
+SMALL_GENERATOR = json.dumps(
+    {"kind": "brite", "n_ases": 12, "routers_per_as": 3, "n_paths": 30, "seed": 7}
+)
+DEEP = "[" * 200_000
+
+
+class TestOutsideJson:
+    """Every CLI reader of outside JSON answers too-deep nesting and
+    non-finite constants with its ``error:`` line, not a traceback."""
+
+    @staticmethod
+    def argvs(tmp_path, text):
+        path = tmp_path / "input.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        return {
+            "--demand": ["predict", "--demand", str(path)],
+            "--generator": ["localize", "--generator", text],
+            "--preload": ["serve", "--port", "0", "--preload", text],
+            "--windows": [
+                "stream", "--windows", str(path), "--generator", SMALL_GENERATOR,
+            ],
+            "--events": [
+                "stream", "--simulate", "--events", text,
+                "--generator", SMALL_GENERATOR,
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "flag", ["--demand", "--generator", "--preload", "--windows", "--events"]
+    )
+    @pytest.mark.parametrize(
+        "text, reason",
+        [(DEEP, "nested too deeply"), ("[NaN]", "non-finite constant NaN")],
+        ids=["deep", "nan"],
+    )
+    def test_refused_through_the_error_path(self, tmp_path, flag, text, reason):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.argvs(tmp_path, text)[flag])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ")
+        assert flag in message and reason in message
+
+    def test_preload_with_a_bad_generator_is_an_error_line(self):
+        """The spec is generated before the service starts, so a bad one
+        exits through ``error:`` rather than a traceback after start."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--preload", '{"kind": "nope"}'])
+        assert str(excinfo.value.code).startswith("error: --preload: ")
+
+    def test_deep_demand_leaves_no_traceback(self, tmp_path):
+        import repro
+
+        argv = self.argvs(tmp_path, DEEP)["--demand"]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(
+                os.environ,
+                PYTHONPATH=str(pathlib.Path(repro.__file__).resolve().parents[1]),
+            ),
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: --demand: ")
+        assert "Traceback" not in result.stderr

@@ -127,6 +127,26 @@ class TestStreamRun:
                 ]
             )
 
+    @pytest.mark.parametrize("value", ['"a"', "2", "-1", "0.5", "1e300"])
+    def test_rejects_verdicts_other_than_0_1(self, tmp_path, value):
+        path = tmp_path / "values.jsonl"
+        good = json.dumps([[0] * 30])
+        bad = "[[" + ", ".join(["1"] * 29 + [value]) + "]]"
+        path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "stream",
+                    "--windows",
+                    str(path),
+                    "--generator",
+                    SMALL_GENERATOR,
+                ]
+            )
+        assert str(excinfo.value.code) == (
+            "error: window 2: window verdicts must be 0/1 or true/false"
+        )
+
     def test_rejects_empty_source(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
@@ -289,8 +309,16 @@ class TestStreamRun:
         assert first == second
 
     def test_events_timeline_rejected_when_malformed(self):
-        for events in ("not json", '{"kind": "onset"}'):
-            with pytest.raises(SystemExit, match="--events"):
+        for events in (
+            "not json",
+            '{"kind": "onset"}',
+            "[1]",
+            '[{"kind": "meltdown", "at": 0, "links": [0]}]',
+            '[{"kind": "onset", "at": 0, "links": [99999]}]',
+            '[{"kind": "onset", "at": 0, "links": 3}]',
+            '[{"kind": "onset", "at": 0, "links": [0], "probability": "x"}]',
+        ):
+            with pytest.raises(SystemExit, match="^error: --events: "):
                 main(
                     [
                         "stream",

@@ -461,6 +461,31 @@ class TestQueryLimits:
         assert response.status == 400
         assert "invalid JSON" in answer["error"]
 
+    @pytest.mark.parametrize("opener", [b"[", b'{"a":'])
+    def test_deeply_nested_json_is_400_on_a_live_connection(
+        self, harness, opener
+    ):
+        """Nesting past the parser's recursion limit is a bad body, not
+        a 500; the keep-alive connection then serves the next request."""
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", harness.service.port, timeout=30
+        )
+        try:
+            connection.request("POST", "/topologies", body=opener * 200_000)
+            response = connection.getresponse()
+            answer = json.loads(response.read())
+            socket_after_error = connection.sock
+            connection.request("GET", "/health")
+            health = connection.getresponse()
+            health_answer = json.loads(health.read())
+            assert connection.sock is socket_after_error is not None
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "nested too deeply" in answer["error"]
+        assert health.status == 200
+        assert health_answer["status"] == "ok"
+
     def test_forced_monte_carlo_over_the_cell_limit_is_400(
         self, client, fingerprint
     ):

@@ -7,6 +7,8 @@ over a loopback socket.
 
 from __future__ import annotations
 
+import http.client
+import json
 import socket
 import time
 
@@ -135,6 +137,52 @@ class TestStreamEndpoint:
         assert excinfo.value.status == 500
         assert "paths" in str(excinfo.value.payload)
         assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize("value", ['"a"', "2", "-1", "0.5", "1e300"])
+    def test_window_value_outside_0_1_is_a_terminal_error(
+        self, harness, fingerprint, value
+    ):
+        """Only 0/1 and true/false are verdicts; any other value ends
+        the stream with an ``{"error": ...}`` line instead of being read
+        as congested."""
+        good = json.dumps(make_windows(1, rows=3, seed=5)[0])
+        bad = "[[" + ", ".join(["0"] * (N_PATHS - 1) + [value]) + "]]"
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", harness.service.port, timeout=30
+        )
+        try:
+            connection.request(
+                "POST",
+                f"/topologies/{fingerprint}/stream",
+                body=f'{{"windows": [{good}, {bad}]}}'.encode(),
+            )
+            response = connection.getresponse()
+            lines = [json.loads(line) for line in response.read().splitlines()]
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert [line.get("window") for line in lines[:-1]] == [0]
+        assert lines[-1] == {"error": "window verdicts must be 0/1 or true/false"}
+
+    def test_true_false_windows_read_as_0_1(self, harness, fingerprint):
+        windows = make_windows(2, rows=4, seed=6)
+        as_bools = [[[bool(v) for v in row] for row in w] for w in windows]
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", harness.service.port, timeout=30
+        )
+        try:
+            answers = []
+            for payload in (windows, as_bools):
+                connection.request(
+                    "POST",
+                    f"/topologies/{fingerprint}/stream",
+                    body=json.dumps({"windows": payload}).encode(),
+                )
+                answers.append(connection.getresponse().read())
+        finally:
+            connection.close()
+        assert answers[0] == answers[1]
+        assert b"error" not in answers[0]
 
     def test_ordinary_queries_unaffected_after_stream(
         self, client, fingerprint

@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.model.loss import LossModel
 from repro.simulate.probes import PathProber, ProbeConfig
-from repro.simulate.snapshot import simulate_snapshot
 from repro.simulate.stream import (
     LinkStateTimeline,
     SnapshotStream,
@@ -49,6 +48,20 @@ class TestStreamEvent:
             StreamEvent.from_dict(
                 {"kind": "onset", "at": 0, "links": [1], "bogus": 1}
             )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [1],
+            {"kind": "onset", "at": "soon", "links": [1]},
+            {"kind": "onset", "at": 0, "links": 1},
+            {"kind": "onset", "at": 0, "links": [1], "probability": "x"},
+            {"kind": "flap", "at": 0, "links": [1], "period": None},
+        ],
+    )
+    def test_from_dict_wraps_malformed_specs(self, spec):
+        with pytest.raises(SimulationError):
+            StreamEvent.from_dict(spec)
 
     def test_active_window(self):
         event = StreamEvent(kind="onset", at=3, links=(0,), until=6)
@@ -142,18 +155,18 @@ class TestSnapshotStream:
         n_links = instance_1a.topology.n_links
         n_paths = instance_1a.topology.n_paths
         assert first.link_states.shape == (5, n_links)
-        assert first.loss_rates.shape == (5, n_links)
-        assert first.path_loss.shape == (5, n_paths)
         assert first.path_states.shape == (5, n_paths)
 
     def test_window_size_one_is_exactly_simulate_snapshot(
         self, instance_1a, model_1a
     ):
-        """The batch simulator is the single-window special case."""
+        """A one-snapshot window is one Section-5 round: state, loss
+        rates, probe verdicts, all drawn from the stream's generator."""
+        loss_model = LossModel()
         prober = PathProber(instance_1a.topology, ProbeConfig())
         stream = SnapshotStream(
             model_1a,
-            LossModel(),
+            loss_model,
             prober,
             window_size=1,
             rng=as_generator(42),
@@ -161,21 +174,12 @@ class TestSnapshotStream:
         rng = as_generator(42)
         for _ in range(6):
             window = stream.next_window()
-            reference = simulate_snapshot(
-                model_1a, LossModel(), prober, rng
+            states = model_1a.sample_indicator(rng)
+            verdicts = prober.measure(
+                loss_model.sample_loss_rates(states, rng), rng
             )
-            assert np.array_equal(
-                window.link_states[0], reference.link_states
-            )
-            assert np.array_equal(
-                window.loss_rates[0], reference.loss_rates
-            )
-            assert np.array_equal(
-                window.path_loss[0], reference.path_loss
-            )
-            assert np.array_equal(
-                window.path_states[0], reference.path_states
-            )
+            assert np.array_equal(window.link_states[0], states)
+            assert np.array_equal(window.path_states[0], verdicts)
 
     def test_window_partitioning_is_invisible(
         self, instance_1a, model_1a
