@@ -149,16 +149,39 @@ def localize_map(
         congested_mask: Bitmask of paths observed congested this snapshot.
         link_probabilities: ``P(X_ek = 1)`` per link id (from either
             inference algorithm).
-        max_nodes: Search budget; on exhaustion the best complete
-            explanation found so far is returned with ``exact=False``.
+        max_nodes: Search budget for the whole call: the nodes expanded
+            over all components together, with one root charged per
+            call, as for a search that never splits the snapshot.  When
+            it runs out, the best explanation found is returned with
+            ``exact=False`` if every component already has a complete
+            cover; otherwise the greedy :func:`localize_smallest_set`
+            explanation of the whole snapshot is returned with
+            ``log_likelihood=nan``.
         on_infeasible: ``"raise"`` rejects observations that admit no
             feasible explanation; ``"trim"`` drops the unexplainable
             congested paths as observation noise (recorded in
             ``LocalizationResult.noise_paths``).
 
-    The search orders candidate links by descending log-odds; each search
-    node either includes or excludes the next candidate, pruning branches
-    that can no longer cover the target or beat the incumbent.
+    The candidate links (after trimming) are ordered by descending
+    log-odds, then ascending link id.  They split into components: two
+    candidates belong to one component when their coverages share a
+    congested path.  The score is a sum over links, and no feasible
+    explanation couples two components, so the optimum is the union of
+    each component's optimum.  Each component is searched on its own,
+    over its candidates in the global order, components taken in the
+    order of their first candidate: every search node either includes or
+    excludes the next candidate, pruning branches that can no longer
+    cover the component's paths or beat its incumbent.
+    ``log_likelihood`` sums the chosen links' weights in the global
+    order.
+
+    Tie rule: among equal-score explanations of one component, the
+    answer is the first complete cover that component's search reaches.
+    Nodes leave the heap by highest optimistic bound, then by push order
+    (a node's include child is pushed before its exclude child), and a
+    later cover replaces the incumbent only with a strictly higher
+    score.  Each component's choice therefore depends on that
+    component's candidates alone, never on what else is congested.
     """
     if congested_mask == 0:
         return LocalizationResult(
@@ -195,8 +218,96 @@ def localize_map(
     order = sorted(candidates, key=lambda k: -weights[k])
     ordered_weights = [weights[k] for k in order]
     coverages = [topology.coverage[k] for k in order]
+
+    chosen: set[int] = set()
+    # One root is charged per call, as for a single search over every
+    # candidate: each component's search counts only the nodes below
+    # its root.
+    budget = max_nodes - 1
+    exact = True
+    for target, members in _components(coverages):
+        found, expanded, exhausted = _best_first(
+            members, order, ordered_weights, coverages, target, budget
+        )
+        if found is None:
+            # Budget ran out before this component had a complete cover:
+            # fall back to greedy for the whole snapshot.
+            fallback = localize_smallest_set(
+                topology, congested_mask, tie_break=weights
+            )
+            return LocalizationResult(
+                congested_links=fallback.congested_links,
+                log_likelihood=float("nan"),
+                method="map",
+                exact=False,
+                noise_paths=noise,
+            )
+        chosen.update(found)
+        exact = exact and not exhausted
+        budget -= expanded
+    log_likelihood = 0.0
+    for k, weight in zip(order, ordered_weights):
+        if k in chosen:
+            log_likelihood += weight
+    return LocalizationResult(
+        congested_links=frozenset(chosen),
+        log_likelihood=log_likelihood,
+        method="map",
+        exact=exact,
+        noise_paths=noise,
+    )
+
+
+def _components(coverages: list[int]) -> list[tuple[int, list[int]]]:
+    """Group candidate indices that share a congested path.
+
+    Two candidates fall in one component when their coverages meet,
+    directly or through other candidates.  Returns ``(paths, indices)``
+    per component: the paths its candidates cover and its indices in
+    ascending order, components ordered by their first index.  Component
+    path masks stay pairwise disjoint, so a new candidate only has to be
+    tested against its own coverage.
+    """
+    groups: list[tuple[int, list[int]]] = []
+    for index, coverage in enumerate(coverages):
+        paths, members = coverage, [index]
+        separate = []
+        for group in groups:
+            if group[0] & coverage:
+                paths |= group[0]
+                members.extend(group[1])
+            else:
+                separate.append(group)
+        separate.append((paths, members))
+        groups = separate
+    return sorted(
+        ((paths, sorted(members)) for paths, members in groups),
+        key=lambda group: group[1][0],
+    )
+
+
+def _best_first(
+    members: list[int],
+    order: list[int],
+    ordered_weights: list[float],
+    coverages: list[int],
+    target: int,
+    budget: int,
+) -> tuple[tuple[int, ...] | None, int, bool]:
+    """Best-first branch and bound over one component's candidates.
+
+    ``members`` are the component's indices into the global ``order``,
+    ``ordered_weights`` and ``coverages``; ``target`` is its paths.
+    Returns ``(chosen, expanded, exhausted)``: the best complete cover of
+    ``target`` found (``None`` if none), the nodes expanded below the
+    root (the root is free; the caller charges one per call), and
+    whether expanding one more than ``budget`` stopped the search.
+    """
+    n = len(members)
+    order = [order[i] for i in members]
+    ordered_weights = [ordered_weights[i] for i in members]
+    coverages = [coverages[i] for i in members]
     # suffix_cover[i] = what candidates i.. can still cover.
-    n = len(order)
     suffix_cover = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | coverages[i]
@@ -207,27 +318,27 @@ def localize_map(
         suffix_gain[i] = suffix_gain[i + 1] + gain
 
     best_score = -math.inf
-    best_set: frozenset[int] = frozenset()
-    exact = True
+    best_set: tuple[int, ...] | None = None
+    exhausted = False
     heappush, heappop = heapq.heappush, heapq.heappop
     # Max-heap on optimistic score (negated for heapq).
     counter = 0
     heap = [(-(suffix_gain[0]), counter, 0, 0, 0.0, ())]
-    expanded = 0
+    expanded = -1
     while heap:
         neg_bound, _, index, covered, score, chosen = heappop(heap)
         if -neg_bound <= best_score:
             continue
         expanded += 1
-        if expanded > max_nodes:
-            exact = False
+        if expanded > budget:
+            exhausted = True
             break
-        if covered == congested_mask and score > best_score:
+        if covered == target and score > best_score:
             best_score = score
-            best_set = frozenset(chosen)
+            best_set = chosen
         if index == n:
             continue
-        remaining = congested_mask & ~covered
+        remaining = target & ~covered
         if remaining & ~suffix_cover[index]:
             continue
         next_gain = suffix_gain[index + 1]
@@ -257,26 +368,7 @@ def localize_map(
                 heap,
                 (-exclude_bound, counter, index + 1, covered, score, chosen),
             )
-
-    if best_score == -math.inf:
-        # Budget ran out before any complete cover: fall back to greedy.
-        fallback = localize_smallest_set(
-            topology, congested_mask, tie_break=weights
-        )
-        return LocalizationResult(
-            congested_links=fallback.congested_links,
-            log_likelihood=float("nan"),
-            method="map",
-            exact=False,
-            noise_paths=noise,
-        )
-    return LocalizationResult(
-        congested_links=best_set,
-        log_likelihood=best_score,
-        method="map",
-        exact=exact,
-        noise_paths=noise,
-    )
+    return best_set, expanded, exhausted
 
 
 def localize_smallest_set(

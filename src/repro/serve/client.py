@@ -197,11 +197,10 @@ class ServiceClient:
         exhausted (or closed) before the client issues other requests
         on this connection.
         """
+        # Verdicts go out as given: the server refuses anything but
+        # 0/1 and true/false, so a float window must not be truncated.
         payload = {
-            "windows": [
-                np.asarray(window).astype(int).tolist()
-                for window in windows
-            ],
+            "windows": [np.asarray(window).tolist() for window in windows],
             "threshold": threshold,
             "max_window": max_window,
             "localize_last": localize_last,

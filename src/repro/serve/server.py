@@ -41,13 +41,19 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import signal
 import time
 
 from repro.eval.parallel import run_scenario_tasks
 from repro.io import parse_json
 from repro.serve.batching import BatcherClosed, BatcherFull, QueryBatcher
-from repro.serve.queries import encode_vectors, validate_query
+from repro.serve.queries import (
+    _check_integer,
+    _check_number,
+    encode_vectors,
+    validate_query,
+)
 from repro.serve.registry import StoreFull, TopologyStore, instance_from_payload
 from repro.serve.stream import StepFailure
 
@@ -580,16 +586,26 @@ class TomographyService:
             raise _HttpError(
                 400, "'windows' must be a non-empty list of windows"
             )
-        threshold = payload.get("threshold", 0.5)
-        max_window = payload.get("max_window")
+        params = {
+            "threshold": payload.get("threshold", 0.5),
+            "max_window": payload.get("max_window"),
+            "localize_last": payload.get("localize_last", False),
+        }
         try:
+            # Refused, never coerced: bool("no") is true, int(2.7) is 2.
+            _check_number(params, "threshold", 0.0, 1.0)
+            if params["max_window"] is not None:
+                _check_integer(params, "max_window", 1, math.inf)
+            if not isinstance(params["localize_last"], bool):
+                raise ValueError(
+                    "localize_last must be true or false, "
+                    f"got {params['localize_last']!r}"
+                )
             session = StreamSession(
                 entry.instance,
                 options=self.options,
                 registry=self.store.prep_registry,
-                threshold=float(threshold),
-                max_window=None if max_window is None else int(max_window),
-                localize_last=bool(payload.get("localize_last", False)),
+                **params,
             )
         except (TypeError, ValueError) as exc:
             raise _HttpError(400, f"bad stream parameters: {exc}") from None

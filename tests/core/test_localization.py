@@ -1,8 +1,11 @@
 """Unit tests for per-snapshot congested-link localization."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.builder import TopologyBuilder
 from repro.core.localization import (
     congested_mask_from_states,
     feasible_candidate_links,
@@ -92,6 +95,114 @@ class TestMapLocalization:
             topology, mask, np.full(topology.n_links, 0.2)
         )
         assert np.isfinite(result.log_likelihood)
+
+
+class TestSearchBudget:
+    """``max_nodes`` is one budget per call, shared by the components."""
+
+    @staticmethod
+    def two_paths():
+        """Two disjoint two-hop paths, every link at probability 0.9: each
+        path's search expands 3 nodes (the root, {first link} and the
+        optimum {both links})."""
+        topology = TopologyBuilder.from_paths(
+            [["a", "b", "c"], ["x", "y", "z"]]
+        )
+        return topology, np.full(topology.n_links, 0.9)
+
+    @pytest.mark.parametrize("max_nodes", range(1, 9))
+    def test_answer_covers_the_mask_at_any_budget(self, max_nodes):
+        topology, probabilities = self.two_paths()
+        result = localize_map(
+            topology, 0b11, probabilities, max_nodes=max_nodes
+        )
+        assert topology.coverage_of(result.congested_links) == 0b11
+        # One root per call: 1 + 2 + 2 nodes, as for one search.
+        assert result.exact == (max_nodes >= 5)
+
+    def test_budget_out_in_the_last_component_keeps_its_incumbent(self):
+        """The root and 2 nodes for the first path leave 1 for the
+        second: it finds {x->y} and stops before {x->y, y->z}."""
+        topology, probabilities = self.two_paths()
+        result = localize_map(topology, 0b11, probabilities, max_nodes=4)
+        assert result.congested_links == {0, 1, 2}
+        assert not result.exact
+        weight = math.log(0.9 / (1.0 - 0.9))
+        assert result.log_likelihood == 0.0 + weight + weight + weight
+
+    def test_budget_out_before_a_later_cover_falls_back_to_greedy(self):
+        """The first path takes all 3 nodes: no cover for the second,
+        so the whole snapshot gets the greedy explanation."""
+        topology, probabilities = self.two_paths()
+        result = localize_map(topology, 0b11, probabilities, max_nodes=3)
+        assert result.congested_links == (
+            localize_smallest_set(topology, 0b11).congested_links
+        )
+        assert math.isnan(result.log_likelihood)
+        assert not result.exact
+
+    @pytest.mark.parametrize("max_nodes", [3, 4])
+    def test_one_link_paths_cost_one_node_each_and_the_root(self, max_nodes):
+        """Three disjoint one-link paths: the root plus one node per
+        path, 4 in all, as for a search that never splits them."""
+        topology = TopologyBuilder.from_paths(
+            [["a", "b"], ["c", "d"], ["e", "f"]]
+        )
+        result = localize_map(
+            topology,
+            0b111,
+            np.full(topology.n_links, 0.9),
+            max_nodes=max_nodes,
+        )
+        assert result.congested_links == {0, 1, 2}
+        assert result.exact == (max_nodes == 4)
+        assert math.isnan(result.log_likelihood) == (max_nodes == 3)
+
+    @pytest.mark.parametrize("max_nodes", [1, 2])
+    def test_one_link_component_costs_two_nodes(self, instance_1a, max_nodes):
+        """P1 alone has one candidate, e1: its search expands the root
+        and {e1}, so one node is not enough."""
+        topology = instance_1a.topology
+        result = localize_map(
+            topology,
+            mask_of([topology.path("P1").id]),
+            np.full(topology.n_links, 0.2),
+            max_nodes=max_nodes,
+        )
+        assert result.congested_links == {topology.link("e1").id}
+        assert result.exact == (max_nodes == 2)
+        assert math.isnan(result.log_likelihood) == (max_nodes == 1)
+
+    @pytest.mark.parametrize(
+        ("max_nodes", "links", "log_likelihood", "exact"),
+        [
+            (1, {2, 3}, math.nan, False),
+            (2, {2, 3}, math.nan, False),
+            (3, {2, 3}, 3.5835189384561104, False),
+            (4, {0, 2, 3}, 4.430816798843313, False),
+            (5, {0, 1, 2, 3}, 4.836281906951478, True),
+            (200_000, {0, 1, 2, 3}, 4.836281906951478, True),
+        ],
+    )
+    def test_one_component_budget_is_the_whole_search(
+        self, instance_1a, max_nodes, links, log_likelihood, exact
+    ):
+        """All of Fig. 1(a)'s paths congested form one component, so the
+        budget bounds one search over every candidate: these are the
+        answers of a search that never splits the snapshot."""
+        topology = instance_1a.topology
+        result = localize_map(
+            topology,
+            topology.all_paths_mask,
+            np.array([0.7, 0.6, 0.8, 0.9]),
+            max_nodes=max_nodes,
+        )
+        assert result.congested_links == links
+        assert result.exact == exact
+        if math.isnan(log_likelihood):
+            assert math.isnan(result.log_likelihood)
+        else:
+            assert result.log_likelihood == log_likelihood
 
 
 class TestSmallestSet:

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.builder import TopologyBuilder
 from repro.core.localization import (
     feasible_candidate_links,
     localize_map,
@@ -92,6 +93,58 @@ def test_map_is_optimal_among_enumerable_explanations(case):
                 best = score
     assert best is not None
     assert loglik(result.congested_links) >= best - 1e-9
+
+
+def _components(topology, mask):
+    """``(paths, links)`` per group of candidates joined by shared
+    congested paths, grown to a fixpoint from one candidate at a time."""
+    remaining = set(feasible_candidate_links(topology, mask))
+    while remaining:
+        links = {remaining.pop()}
+        paths = topology.coverage_of(links)
+        while True:
+            more = {k for k in remaining if topology.coverage[k] & paths}
+            if not more:
+                break
+            links |= more
+            remaining -= more
+            paths = topology.coverage_of(links)
+        yield paths, frozenset(links)
+
+
+@given(localization_cases())
+@RELAXED
+def test_map_separates_over_components(case):
+    """Each component's part of the answer is the answer on that
+    component's paths alone: what else is congested never matters."""
+    topology, mask, probabilities = case
+    result = localize_map(topology, mask, probabilities)
+    for paths, links in _components(topology, mask):
+        alone = localize_map(topology, paths, probabilities)
+        assert result.congested_links & links == alone.congested_links
+        assert alone.exact
+
+
+def test_tie_in_one_component_ignores_another():
+    """Two disjoint two-hop paths: either link of a path explains it
+    alone, at equal weight.  The choice on the second path is the same
+    whether or not the first path is congested too."""
+    topology = TopologyBuilder.from_paths(
+        [["a", "b", "c"], ["x", "y", "z"]]
+    )
+    probabilities = np.array([0.1, 0.1, 0.2, 0.2])
+    first = localize_map(topology, 0b01, probabilities)
+    second = localize_map(topology, 0b10, probabilities)
+    both = localize_map(topology, 0b11, probabilities)
+    assert second.congested_links == {topology.link("x->y").id}
+    assert both.congested_links == (
+        first.congested_links | second.congested_links
+    )
+    assert both.exact
+    # Summed in the global candidate order: the 0.2 link first.
+    assert both.log_likelihood == (
+        0.0 + math.log(0.2 / (1.0 - 0.2)) + math.log(0.1 / (1.0 - 0.1))
+    )
 
 
 @given(localization_cases())

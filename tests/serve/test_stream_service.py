@@ -164,6 +164,51 @@ class TestStreamEndpoint:
         assert [line.get("window") for line in lines[:-1]] == [0]
         assert lines[-1] == {"error": "window verdicts must be 0/1 or true/false"}
 
+    def test_float_window_through_client_is_refused(
+        self, client, fingerprint
+    ):
+        """The client sends verdicts as given, so the server's 0/1 check
+        sees a float window instead of its truncation to ``[0, 0, 1]``."""
+        window = [[0.5, 0.9, 1.7] + [0] * (N_PATHS - 3)]
+        with pytest.raises(ServiceError) as excinfo:
+            list(client.stream(fingerprint, [window]))
+        assert excinfo.value.payload == {
+            "error": "window verdicts must be 0/1 or true/false"
+        }
+
+    @pytest.mark.parametrize("value", ["no", "yes", 1, 0, None])
+    def test_localize_last_must_be_a_boolean(
+        self, client, fingerprint, value
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            list(
+                client.stream(
+                    fingerprint, make_windows(1), localize_last=value
+                )
+            )
+        assert excinfo.value.status == 400
+        assert "bad stream parameters" in str(excinfo.value.payload)
+
+    @pytest.mark.parametrize("value", [2.7, 25.0, "25", True, 0, -3])
+    def test_max_window_must_be_a_positive_integer(
+        self, client, fingerprint, value
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            list(
+                client.stream(fingerprint, make_windows(1), max_window=value)
+            )
+        assert excinfo.value.status == 400
+        assert "bad stream parameters" in str(excinfo.value.payload)
+
+    @pytest.mark.parametrize("value", ["0.7", True, None, [0.5]])
+    def test_threshold_must_be_a_number(self, client, fingerprint, value):
+        with pytest.raises(ServiceError) as excinfo:
+            list(
+                client.stream(fingerprint, make_windows(1), threshold=value)
+            )
+        assert excinfo.value.status == 400
+        assert "bad stream parameters" in str(excinfo.value.payload)
+
     def test_true_false_windows_read_as_0_1(self, harness, fingerprint):
         windows = make_windows(2, rows=4, seed=6)
         as_bools = [[[bool(v) for v in row] for row in w] for w in windows]
