@@ -86,7 +86,7 @@ CACHE_VERSION = 1
 
 #: Code-version salt.  Bump whenever the simulate→infer→score pipeline
 #: changes what a trial returns for the same inputs.
-CODE_SALT = "trial-v1"
+CODE_SALT = "trial-v2"
 
 #: Age (seconds) past which an orphaned ``*.tmp`` write file is garbage:
 #: no healthy writer keeps one open for an hour, so anything older was

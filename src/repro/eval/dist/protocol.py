@@ -61,8 +61,10 @@ __all__ = [
     "payload_to_buffer",
 ]
 
-#: The one wire protocol version this build speaks.
-PROTOCOL_VERSION = 4
+#: The one wire protocol version this build speaks.  Bumped also when a
+#: chunk's answers change for the same tasks (5: threshold-sampled probe
+#: verdicts), so a worker of an older build is refused, never mixed in.
+PROTOCOL_VERSION = 5
 
 #: Frame magic of every session frame.
 MAGIC = b"RTD4"

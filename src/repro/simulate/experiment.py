@@ -83,9 +83,9 @@ def run_experiment(
 
     Per batch of rounds: network states from the congestion model
     (``sample_states``), link loss rates (``LossModel.sample_loss_rates``)
-    and threshold verdicts from binomial probes (``PathProber.measure``)
-    — the same two calls :class:`repro.simulate.stream.SnapshotStream`
-    makes per snapshot.  The draw order differs from the stream's (whole
+    and ``t_p`` verdicts, one uniform per path against its verdict
+    probability (``PathProber.measure``) — the same two calls
+    :class:`repro.simulate.stream.SnapshotStream` makes per snapshot.  The draw order differs from the stream's (whole
     stages per batch, not whole rounds per snapshot), so the two give
     the same distribution, not the same bytes.
     """

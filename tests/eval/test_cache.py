@@ -87,6 +87,18 @@ class TestKeyDerivation:
             fp, task, config=FAST, options=FourFieldOptions()
         )
 
+    def test_binomial_sampler_keys_are_misses(
+        self, planetlab_small, monkeypatch
+    ):
+        """Builds that drew probe counts with ``rng.binomial`` salted
+        their keys ``trial-v1``; the threshold sampler draws other
+        verdicts from the same seeds, so those entries must not match."""
+        fp = instance_fingerprint(planetlab_small)
+        task = _tasks()[0]
+        current = trial_key(fp, task, config=FAST)
+        monkeypatch.setattr("repro.eval.cache.CODE_SALT", "trial-v1")
+        assert trial_key(fp, task, config=FAST) != current
+
     def test_default_config_and_options_canonicalise(self, planetlab_small):
         """``None`` keys like the explicit dataclass defaults."""
         fp = instance_fingerprint(planetlab_small)
